@@ -330,6 +330,25 @@ let ablation ~jobs () =
 
 (* --- Bechamel microbenchmarks ----------------------------------------------------------- *)
 
+(* Minor-heap words allocated, read with [Gc.minor_words].  Bechamel's
+   own [minor_allocated] instance reads [Gc.quick_stat], whose
+   [minor_words] on OCaml 5.1 leaves out everything allocated since the
+   last minor collection, so short benchmarks read 0 words whatever they
+   allocate. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "w"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
+
 let micro ~quick () =
   section "Microbenchmarks (Bechamel)";
   let open Bechamel in
@@ -375,16 +394,16 @@ let micro ~quick () =
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
     Test.make ~name:"interpreter: 200-instruction loop"
       (Staged.stage (fun () ->
-           m.Machine.pc <- program.Asm.Assembler.entry;
+           Machine.set_pc m program.Asm.Assembler.entry;
            ignore (Machine.run ~max_insns:1_000L m)))
   in
   let cache =
     let c = Mem.Cache.create ~name:"bench" ~size_bytes:16384 ~line_bytes:32 ~assoc:4 in
-    let i = ref 0L in
+    let i = ref 0 in
     Test.make ~name:"cache model access"
       (Staged.stage (fun () ->
-           i := Int64.add !i 40L;
-           ignore (Mem.Cache.access c ~addr:(Int64.logand !i 0xFFFFFL) ~write:false)))
+           i := !i + 40;
+           ignore (Mem.Cache.access_line c ~line:((!i land 0xFFFFF) lsr 5) ~write:false)))
   in
   (* The three hot-path fast cases, in ns per operation: what one
      simulated instruction pays for its decode lookup, its address
@@ -402,12 +421,12 @@ let micro ~quick () =
     Asm.Assembler.load m program;
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
-    m.Machine.pc <- program.Asm.Assembler.entry;
+    Machine.set_pc m program.Asm.Assembler.entry;
     ignore (Machine.run ~max_insns:1_000L m);
     (* warm *)
     Test.make ~name:"step, decode-cache hit (1 insn)"
       (Staged.stage (fun () ->
-           m.Machine.pc <- program.Asm.Assembler.entry;
+           Machine.set_pc m program.Asm.Assembler.entry;
            Machine.step m))
   in
   let sb_dispatch =
@@ -425,12 +444,12 @@ let micro ~quick () =
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
     Machine.set_engine m Machine.Superblock;
-    m.Machine.pc <- program.Asm.Assembler.entry;
+    Machine.set_pc m program.Asm.Assembler.entry;
     ignore (Machine.run ~max_insns:1_000L m);
     (* warm: blocks formed *)
     Test.make ~name:"sb_step, superblock dispatch (1 block)"
       (Staged.stage (fun () ->
-           m.Machine.pc <- program.Asm.Assembler.entry;
+           Machine.set_pc m program.Asm.Assembler.entry;
            Machine.sb_step m ~fuel:64))
   in
   let cold_fetch =
@@ -447,27 +466,39 @@ let micro ~quick () =
     Asm.Assembler.load m program;
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
-    m.Machine.pc <- 0x1000L;
+    Machine.set_pc m 0x1000L;
     Machine.step m;
     Test.make ~name:"step, decode-cache conflict miss (2 insns)"
       (Staged.stage (fun () ->
-           m.Machine.pc <- 0x1000L;
+           Machine.set_pc m 0x1000L;
            Machine.step m;
-           m.Machine.pc <- 0x11000L;
+           Machine.set_pc m 0x11000L;
            Machine.step m))
   in
   let tlb_hit =
     let tlb = Mem.Tlb.create ~entries:256 () in
     Mem.Tlb.map tlb ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
-    ignore (Mem.Tlb.touch tlb 0x1000L);
+    ignore (Mem.Tlb.touch tlb 0x1000);
     Test.make ~name:"TLB touch, hit (same page)"
-      (Staged.stage (fun () -> ignore (Mem.Tlb.touch tlb 0x1040L)))
+      (Staged.stage (fun () -> ignore (Mem.Tlb.touch tlb 0x1040)))
   in
   let l1_hit =
     let c = Mem.Cache.create ~name:"l1hit" ~size_bytes:16384 ~line_bytes:32 ~assoc:4 in
-    ignore (Mem.Cache.access c ~addr:0x2000L ~write:false);
+    ignore (Mem.Cache.access_line c ~line:0x100 ~write:false);
     Test.make ~name:"cache access, L1 hit (same line)"
-      (Staged.stage (fun () -> ignore (Mem.Cache.access c ~addr:0x2008L ~write:false)))
+      (Staged.stage (fun () -> ignore (Mem.Cache.access_line c ~line:0x100 ~write:false)))
+  in
+  let way_hit =
+    (* Two lines of one set, touched alternately: every access misses
+       the one-line MRU front and hits in the way search. *)
+    let c = Mem.Cache.create ~name:"ways" ~size_bytes:16384 ~line_bytes:32 ~assoc:4 in
+    let b = c.Mem.Cache.sets in
+    ignore (Mem.Cache.access_line c ~line:0 ~write:false);
+    ignore (Mem.Cache.access_line c ~line:b ~write:false);
+    Test.make ~name:"cache access, way-search hit (2 insns' lines)"
+      (Staged.stage (fun () ->
+           ignore (Mem.Cache.access_line c ~line:0 ~write:false);
+           ignore (Mem.Cache.access_line c ~line:b ~write:false)))
   in
   (* The warm-pool primitives (docs/PERFORMANCE.md "serving throughput"):
      what one post-boot snapshot costs (full image copy, paid once per
@@ -499,21 +530,31 @@ let micro ~quick () =
     Test.make_grouped ~name:"cheri" ~fmt:"%s %s"
       [
         cap_ops; cap_bytes; decode; interp; cache; steady_hit; sb_dispatch; cold_fetch; tlb_hit;
-        l1_hit; snapshot_capture; snapshot_restore;
+        l1_hit; way_hit; snapshot_capture; snapshot_restore;
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  (* Host time and minor-heap words per operation, side by side: the
+     words column is what an operation boxes or closes over. *)
+  let instances = [ Toolkit.Instance.monotonic_clock; minor_words ] in
   let quota = if quick then Time.second 0.05 else Time.second 0.25 in
   let cfg = Benchmark.cfg ~limit:(if quick then 300 else 1000) ~quota ~kde:(Some 500) () in
   let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-55s %12.1f ns/op\n" name est
-      | _ -> Printf.printf "%-55s (no estimate)\n" name)
-    results
+  let ns = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let words = Analyze.all ols minor_words raw in
+  let estimate tbl name =
+    match Analyze.OLS.estimates (Hashtbl.find tbl name) with
+    | Some [ est ] -> Printf.sprintf "%12.1f" est
+    | _ -> Printf.sprintf "%12s" "-"
+  in
+  List.iter
+    (fun name ->
+      Printf.printf "%-55s %s ns/op %s words/op\n" name (estimate ns name) (estimate words name))
+    (List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) ns []));
+  print_string
+    "(The fit has no intercept, so each sample's fixed measurement cost is spread over\n\
+    \ the slope: an allocation-free operation reads about 0.2 words/op, and more under\n\
+    \ --quick.  test/test_alloc.ml gates the exact figures.)\n"
 
 (* --- fault-injection coverage -------------------------------------------------------------- *)
 

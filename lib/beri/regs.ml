@@ -1,20 +1,35 @@
 (* The general-purpose register file: 32 64-bit registers with $0 hardwired
-   to zero, plus the HI/LO multiply-divide pair. *)
+   to zero, plus the HI/LO multiply-divide pair and the PC.
 
-type t = { r : int64 array; mutable hi : int64; mutable lo : int64 }
+   All 35 values live as raw 64-bit slots in one [Bytes.t] (native byte
+   order), so the machine's per-instruction path reads and writes them
+   with the [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives and
+   never boxes an [int64].  Slot 0 is never written, so it always reads
+   as zero. *)
 
-let create () = { r = Array.make 32 0L; hi = 0L; lo = 0L }
+type t = Bytes.t
 
-let get t i = if i = 0 then 0L else t.r.(i)
+let hi_off = 32 * 8
+let lo_off = 33 * 8
+let pc_off = 34 * 8
+let create () = Bytes.make (35 * 8) '\000'
 
-let set t i v = if i <> 0 then t.r.(i) <- v
+let check i = if i land 31 <> i then invalid_arg "Regs: GPR index out of range"
 
-let copy t = { r = Array.copy t.r; hi = t.hi; lo = t.lo }
+let get t i =
+  check i;
+  Bytes.get_int64_ne t (i lsl 3)
 
-let load t src =
-  Array.blit src.r 0 t.r 0 32;
-  t.hi <- src.hi;
-  t.lo <- src.lo
+let set t i v =
+  check i;
+  if i <> 0 then Bytes.set_int64_ne t (i lsl 3) v
+
+let hi t = Bytes.get_int64_ne t hi_off
+let lo t = Bytes.get_int64_ne t lo_off
+let set_hi t v = Bytes.set_int64_ne t hi_off v
+let set_lo t v = Bytes.set_int64_ne t lo_off v
+let copy = Bytes.copy
+let load t src = Bytes.blit src 0 t 0 (Bytes.length t)
 
 (* Conventional MIPS ABI register assignments used by the assembler,
    compiler, and kernel. *)

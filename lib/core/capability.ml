@@ -183,15 +183,32 @@ let cause_of_access = function
    set, the capability unsealed, the permission granted, and the access
    in bounds.  Returns the architectural cause on failure.  This single
    function implements the checks applied by every capability-relative
-   load, store, and instruction fetch. *)
-let check_access c access ~addr ~size =
+   load, store, and instruction fetch; [in_bounds] is its bounds test,
+   computed by each entry point below. *)
+let[@inline] check c access ~in_bounds =
   if not c.tag then Error Cause.Tag_violation
   else if c.sealed then Error Cause.Seal_violation
   else if not (Perms.has c.perms (perm_of_access access)) then
     Error (cause_of_access access)
-  else if not (U64.in_range ~addr ~size ~base:c.base ~length:c.length) then
-    Error Cause.Length_violation
+  else if not in_bounds then Error Cause.Length_violation
   else Ok ()
+
+let check_access c access ~addr ~size =
+  check c access ~in_bounds:(U64.in_range ~addr ~size ~base:c.base ~length:c.length)
+
+(* The same check for an address and size that fit a native int: the
+   machine's per-instruction form.  [Int64.of_int] is exact on such
+   values, and the bounds test is [U64.in_range] spelled out with
+   primitive operations in this function, so the widened operands stay
+   unboxed locals — a cross-module call would box them. *)
+let check_access_int c access ~addr ~size =
+  let addr = Int64.of_int addr and size = Int64.of_int size in
+  let flip = Int64.min_int in
+  check c access
+    ~in_bounds:
+      (Int64.logxor size flip <= Int64.logxor c.length flip
+      && Int64.logxor addr flip >= Int64.logxor c.base flip
+      && Int64.logxor (Int64.sub addr c.base) flip <= Int64.logxor (Int64.sub c.length size) flip)
 
 (* [rights_subset a b]: the rights conveyed by [a] are a subset of those of
    [b].  Used by property tests to state monotonicity, and by the kernel to

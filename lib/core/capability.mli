@@ -91,6 +91,12 @@ type access = Load | Store | Execute | Load_cap | Store_cap
     by every capability-relative load, store, and instruction fetch. *)
 val check_access : t -> access -> addr:U64.t -> size:U64.t -> (unit, Cause.t) result
 
+(** [check_access_int c access ~addr ~size] is {!check_access} for an
+    address and size that fit a native int (the address as the signed
+    value of its 64 bits).  It allocates nothing: the machine applies it
+    to every instruction fetch and data access. *)
+val check_access_int : t -> access -> addr:int -> size:int -> (unit, Cause.t) result
+
 (** [rights_subset a b]: the rights conveyed by [a] are a subset of those
     of [b].  Monotonicity of the manipulation operations is stated (and
     property-tested) in terms of this relation. *)

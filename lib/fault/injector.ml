@@ -135,8 +135,8 @@ let inject_tag t (m : Machine.t) =
       | Some a -> a
       | None -> assert false
     in
-    let old = Mem.Tags.get m.Machine.tags addr in
-    Mem.Tags.set m.Machine.tags addr (not old);
+    let old = Mem.Tags.get m.Machine.tags (Int64.to_int addr) in
+    Mem.Tags.set m.Machine.tags (Int64.to_int addr) (not old);
     Printf.sprintf "tag line 0x%Lx %s" addr (if old then "cleared" else "forged")
   end
 

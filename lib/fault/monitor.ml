@@ -113,7 +113,7 @@ let check_memory ?root (m : Machine.t) ~base ~len =
   let acc = ref [] in
   for i = 0 to count - 1 do
     let addr = Int64.mul (Int64.add first (Int64.of_int i)) (Int64.of_int line_bytes) in
-    if Mem.Tags.get tags addr then begin
+    if Mem.Tags.get tags (Int64.to_int addr) then begin
       let c =
         match cap_width with
         | Machine.W256 -> Cap.Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys addr 32)

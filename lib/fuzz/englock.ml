@@ -84,14 +84,14 @@ let result_class = function
 let compare_final (ms : Machine.t) (mp : Machine.t) =
   let diff = ref None in
   let note what = if !diff = None then diff := Some what in
-  if ms.Machine.pc <> mp.Machine.pc then
-    note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" ms.Machine.pc mp.Machine.pc);
+  if Machine.pc ms <> Machine.pc mp then
+    note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" (Machine.pc ms) (Machine.pc mp));
   for i = 1 to 31 do
     let a = Machine.gpr ms i and b = Machine.gpr mp i in
     if a <> b then note (Printf.sprintf "r%d: 0x%Lx vs 0x%Lx" i a b)
   done;
-  if ms.Machine.regs.Beri.Regs.hi <> mp.Machine.regs.Beri.Regs.hi then note "hi differs";
-  if ms.Machine.regs.Beri.Regs.lo <> mp.Machine.regs.Beri.Regs.lo then note "lo differs";
+  if Beri.Regs.hi ms.Machine.regs <> Beri.Regs.hi mp.Machine.regs then note "hi differs";
+  if Beri.Regs.lo ms.Machine.regs <> Beri.Regs.lo mp.Machine.regs then note "lo differs";
   for j = 0 to 31 do
     if not (Cap.Capability.equal (Machine.cap ms j) (Machine.cap mp j)) then
       note

@@ -83,8 +83,8 @@ let cap_obs_equal a b =
    step, or [None].  Descriptions are only materialised on the failure
    path. *)
 let compare_states (m256 : Machine.t) (m128 : Machine.t) ev256 ev128 =
-  if m256.Machine.pc <> m128.Machine.pc then
-    Some (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" m256.Machine.pc m128.Machine.pc)
+  if Machine.pc m256 <> Machine.pc m128 then
+    Some (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" (Machine.pc m256) (Machine.pc m128))
   else begin
     let diff = ref None in
     (* scalar registers *)
@@ -94,9 +94,9 @@ let compare_states (m256 : Machine.t) (m128 : Machine.t) ev256 ev128 =
       if a <> b then diff := Some (Printf.sprintf "r%d: 0x%Lx vs 0x%Lx" !i a b);
       incr i
     done;
-    if !diff = None && m256.Machine.regs.Beri.Regs.hi <> m128.Machine.regs.Beri.Regs.hi then
+    if !diff = None && (Beri.Regs.hi m256.Machine.regs) <> (Beri.Regs.hi m128.Machine.regs) then
       diff := Some "hi differs";
-    if !diff = None && m256.Machine.regs.Beri.Regs.lo <> m128.Machine.regs.Beri.Regs.lo then
+    if !diff = None && (Beri.Regs.lo m256.Machine.regs) <> (Beri.Regs.lo m128.Machine.regs) then
       diff := Some "lo differs";
     (* capability registers + pcc *)
     let j = ref 0 in

@@ -11,10 +11,9 @@
 open Beri
 
 type t = {
-  gprs : Regs.t;
+  gprs : Regs.t; (* HI/LO and the PC ride in the same file *)
   caps : Cap.Capability.t array;
   pcc : Cap.Capability.t;
-  pc : int64;
 }
 
 let save (m : Machine.t) =
@@ -22,14 +21,12 @@ let save (m : Machine.t) =
     gprs = Regs.copy m.Machine.regs;
     caps = Array.copy m.Machine.caps;
     pcc = m.Machine.pcc;
-    pc = m.Machine.pc;
   }
 
 let restore (m : Machine.t) t =
   Regs.load m.Machine.regs t.gprs;
   Array.blit t.caps 0 m.Machine.caps 0 32;
-  m.Machine.pcc <- t.pcc;
-  m.Machine.pc <- t.pc
+  m.Machine.pcc <- t.pcc
 
 (* Bytes moved per switch — the metric the paper's "context-switch
    overhead" remark refers to: 32 GPRs x 8 B + (32 caps + PCC) x 32 B. *)

@@ -42,13 +42,13 @@ let revoke (m : Machine.t) ~base ~length =
   let line = ref 0L in
   let line_bytes = Int64.of_int Mem.Tags.line_bytes in
   while Int64.to_int !line < mem_size do
-    if Mem.Tags.get m.Machine.tags !line then begin
+    if Mem.Tags.get m.Machine.tags (Int64.to_int !line) then begin
       incr scanned;
       let c =
         Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys !line 32)
       in
       if intersects c ~base ~length then begin
-        Mem.Tags.set m.Machine.tags !line false;
+        Mem.Tags.set m.Machine.tags (Int64.to_int !line) false;
         incr revoked
       end
     end;
@@ -81,7 +81,7 @@ let live_capability_roots (m : Machine.t) =
   let line = ref 0L in
   let line_bytes = Int64.of_int Mem.Tags.line_bytes in
   while Int64.to_int !line < mem_size do
-    if Mem.Tags.get m.Machine.tags !line then begin
+    if Mem.Tags.get m.Machine.tags (Int64.to_int !line) then begin
       let c =
         Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys !line 32)
       in

@@ -72,9 +72,10 @@ let default_config =
 type t = {
   config : config;
   regs : Regs.t;
+      (* GPRs, HI/LO and the PC as raw 64-bit slots; read and written
+         only through the primitives below, so no [int64] is boxed *)
   caps : Cap.Capability.t array; (* 32 capability registers; index 0 = C0 *)
   mutable pcc : Cap.Capability.t;
-  mutable pc : int64;
   cp0 : Cp0.t;
   phys : Mem.Phys.t;
   tags : Mem.Tags.t;
@@ -82,7 +83,7 @@ type t = {
   mutable cycles : int;
   mutable instret : int;
   mutable ll_bit : bool;
-  mutable ll_addr : int64;
+  mutable ll_addr : int; (* a linked load's address: it fit a native int *)
   mutable kernel : t -> exn_ctx -> kernel_action;
   mutable on_trace : t -> Insn.marker -> int64 -> int64 -> unit;
   mutable on_step : (t -> unit) option;
@@ -175,7 +176,6 @@ let create ?(config = default_config) () =
     regs = Regs.create ();
     caps = Array.make 32 Cap.Capability.almighty;
     pcc = Cap.Capability.almighty;
-    pc = 0L;
     cp0 = Cp0.create ();
     phys = Mem.Phys.create ~size_bytes:config.mem_size;
     tags =
@@ -186,7 +186,7 @@ let create ?(config = default_config) () =
     cycles = 0;
     instret = 0;
     ll_bit = false;
-    ll_addr = 0L;
+    ll_addr = 0;
     kernel = default_kernel;
     on_trace = (fun _ _ _ _ -> ());
     on_step = None;
@@ -214,9 +214,38 @@ let set_trace_hook t f = t.on_trace <- f
 let set_step_hook t f = t.on_step <- f
 let set_store_hook t f = t.on_store <- f
 
+(* --- the register file ----------------------------------------------------- *)
+
+(* Library modules are compiled without cross-module inlining, so an
+   [int64] returned from, or passed to, a function in another module is
+   boxed.  The per-instruction path therefore touches the register file
+   only through these primitives, inlined here: values stay in machine
+   registers between the [Bytes] slot and the arithmetic.  Decoded
+   register numbers are 5-bit fields, so the unchecked forms are in
+   bounds. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] reg t i = get64 t.regs (i lsl 3)
+let[@inline] set_reg t i v = if i <> 0 then set64 t.regs (i lsl 3) v
+let[@inline] hi t = get64 t.regs Regs.hi_off
+let[@inline] lo t = get64 t.regs Regs.lo_off
+let[@inline] set_hi t v = set64 t.regs Regs.hi_off v
+let[@inline] set_lo t v = set64 t.regs Regs.lo_off v
+
+(* The PC keeps all 64 bits; [pc]/[set_pc] are also the accessors for
+   code outside the machine. *)
+let[@inline] pc t = get64 t.regs Regs.pc_off
+let[@inline] set_pc t v = set64 t.regs Regs.pc_off v
+
+(* The PC as a native int, for the memory model and the observers.
+   Only meaningful while the PC fits one — true of every PC that
+   retires, since any other traps on fetch. *)
+let[@inline] pc_int t = Int64.to_int (pc t)
+
 (* Attach (or detach, with [None]) the observability probe.  A probe that
    carries an attribution table additionally hooks the memory hierarchy
-   and the tag table: the installed closures read [t.pc] — which still
+   and the tag table: the installed closures read the PC — which still
    holds the in-flight instruction's address during execute — so every
    miss, DRAM transfer, and tag write lands on the PC that caused it. *)
 let set_probe t p =
@@ -224,9 +253,9 @@ let set_probe t p =
   match Option.bind p Obs.Probe.attrib with
   | Some a ->
       t.hier.Mem.Hierarchy.on_event <-
-        Some (fun ev ~addr -> Obs.Attrib.record a ~pc:t.pc ~addr ev);
+        Some (fun ev ~addr -> Obs.Attrib.record a ~pc:(pc_int t) ~addr ev);
       Mem.Tags.set_on_write t.tags
-        (Some (fun ~set ~addr -> Obs.Attrib.record a ~pc:t.pc ~addr (Obs.Attrib.Tag_write set)))
+        (Some (fun ~set ~addr -> Obs.Attrib.record a ~pc:(pc_int t) ~addr (Obs.Attrib.Tag_write set)))
   | None ->
       t.hier.Mem.Hierarchy.on_event <- None;
       Mem.Tags.set_on_write t.tags None
@@ -258,7 +287,7 @@ let flush_superblocks t =
    translated region, retire the tier.  Two integer compares per store in
    the common (miss) case. *)
 let snoop_store t ~addr ~size =
-  if Mem.Snoop.hit t.sb_snoop ~addr:(Int64.to_int addr) ~size then flush_superblocks t
+  if Mem.Snoop.hit t.sb_snoop ~addr ~size then flush_superblocks t
 
 (* --- diagnostic snapshots ---------------------------------------------- *)
 
@@ -285,15 +314,15 @@ type snapshot = {
 let snapshot ?(cause = "snapshot") t =
   {
     snap_cause = cause;
-    snap_pc = t.pc;
+    snap_pc = pc t;
     snap_exc = t.cp0.Cp0.last_exc;
     snap_badvaddr = t.cp0.Cp0.badvaddr;
     snap_capcause = t.cp0.Cp0.capcause;
     snap_capreg = t.cp0.Cp0.capcause_reg;
-    snap_insn_word = (try Some (Mem.Phys.read_u32 t.phys t.pc) with _ -> None);
+    snap_insn_word = (try Some (Mem.Phys.read_u32 t.phys (pc t)) with _ -> None);
     snap_gprs = Array.init 32 (fun i -> Regs.get t.regs i);
-    snap_hi = t.regs.Regs.hi;
-    snap_lo = t.regs.Regs.lo;
+    snap_hi = Regs.hi t.regs;
+    snap_lo = Regs.lo t.regs;
     snap_caps = Array.copy t.caps;
     snap_pcc = t.pcc;
     snap_instret = Int64.of_int t.instret;
@@ -351,85 +380,116 @@ let pp_run_result ppf = function
 
 (* --- 64-bit helpers ---------------------------------------------------- *)
 
-let sext32 v = Int64.of_int32 (Int64.to_int32 v)
-let sext16 v = if v land 0x8000 <> 0 then Int64.of_int (v - 0x10000) else Int64.of_int v
-let bool64 b = if b then 1L else 0L
+let[@inline] sext32 v = Int64.of_int32 (Int64.to_int32 v)
+
+let[@inline] sext16 v =
+  if v land 0x8000 <> 0 then Int64.of_int (v - 0x10000) else Int64.of_int v
+
+let[@inline] bool64 b = if b then 1L else 0L
 
 (* --- memory access ----------------------------------------------------- *)
 
-(* Access sizes are 1/2/4/8/16/32; map them to static [Int64] constants so
-   [check_cap] doesn't allocate a fresh box per check (twice per
-   instruction: fetch + data). *)
-let size64 = function
-  | 1 -> 1L
-  | 2 -> 2L
-  | 4 -> 4L
-  | 8 -> 8L
-  | 16 -> 16L
-  | 32 -> 32L
-  | n -> Int64.of_int n
+(* Every address that reaches the memory model is a native int: the
+   effective address is computed as an unboxed [int64] local, checked to
+   fit an int ([data_addr]), and passed on as one.  The capability check,
+   TLB, cache hierarchy, tag table and physical memory all take it that
+   way, so no [int64] is boxed to cross a module boundary. *)
+
+let cap_fault t ~reg cause badv =
+  t.cp0.Cp0.capcause <- cause;
+  t.cp0.Cp0.capcause_reg <- reg;
+  raise (Exn (Cp0.Cp2 cause, badv))
 
 let check_cap t ~reg c access ~addr ~size =
-  match Cap.Capability.check_access c access ~addr ~size:(size64 size) with
+  match Cap.Capability.check_access_int c access ~addr ~size with
   | Ok () -> ()
-  | Error cause ->
-      t.cp0.Cp0.capcause <- cause;
-      t.cp0.Cp0.capcause_reg <- reg;
-      raise (Exn (Cp0.Cp2 cause, addr))
+  | Error cause -> cap_fault t ~reg cause (Int64.of_int addr)
 
-(* Sizes are powers of two and addresses sit below 2^63, so alignment is a
-   native-int mask — no boxed [Int64.rem]. *)
-let check_alignment addr size store =
-  if size > 1 && Int64.to_int addr land (size - 1) <> 0 then
-    raise (Exn ((if store then Cp0.Address_error_store else Cp0.Address_error_load), addr))
+(* The full-width check, for an address held in a capability field (an
+   existing box, so passing it allocates nothing). *)
+let check_cap64 t ~reg c access ~addr ~size =
+  match Cap.Capability.check_access c access ~addr ~size with
+  | Ok () -> ()
+  | Error cause -> cap_fault t ~reg cause addr
 
-let check_page t addr ~write ~size =
-  let tlb = t.hier.Mem.Hierarchy.tlb in
-  let prot = Mem.Tlb.protection tlb addr in
+let is_store = function
+  | Cap.Capability.Store | Cap.Capability.Store_cap -> true
+  | Cap.Capability.Load | Cap.Capability.Load_cap | Cap.Capability.Execute -> false
+
+(* The one path for an address that does not fit a native int.  Such an
+   address is outside physical memory and no page maps it, so it never
+   reaches the memory model: after the capability check (on the full 64
+   bits) it takes the TLB exception of an unmapped page.  Cold — it only
+   ever raises. *)
+let wide_trap t ~reg c access ~addr ~size =
+  check_cap64 t ~reg c access ~addr ~size:(Int64.of_int size);
+  raise (Exn ((if is_store access then Cp0.Tlb_store else Cp0.Tlb_load), addr))
+
+let misaligned access addr =
+  raise
+    (Exn ((if is_store access then Cp0.Address_error_store else Cp0.Address_error_load), addr))
+
+(* The native-int form of a data access's effective address [ea], after
+   the checks that need all 64 bits: alignment (a native-int mask — sizes
+   are powers of two) and fit.  Inlined, so [ea] stays unboxed and is
+   only boxed on the two raising branches. *)
+let[@inline] data_addr t ~reg c access ~size ea =
+  let a = Int64.to_int ea in
+  if size > 1 && a land (size - 1) <> 0 then misaligned access ea;
+  if not (Int64.equal (Int64.of_int a) ea) then wide_trap t ~reg c access ~addr:ea ~size;
+  a
+
+let check_page t addr ~write =
+  let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb addr in
   if not prot.Mem.Tlb.valid then
-    raise (Exn ((if write then Cp0.Tlb_store else Cp0.Tlb_load), addr));
-  if write && not prot.Mem.Tlb.writable then raise (Exn (Cp0.Tlb_store, addr));
+    raise (Exn ((if write then Cp0.Tlb_store else Cp0.Tlb_load), Int64.of_int addr));
+  if write && not prot.Mem.Tlb.writable then raise (Exn (Cp0.Tlb_store, Int64.of_int addr));
   (* Accesses must not straddle a page boundary in this model; our ABI
      aligns all scalars naturally so this cannot occur for valid code. *)
-  ignore size;
   prot
 
 let data_penalty t ~addr ~size ~write =
   if t.timing then charge t (Mem.Hierarchy.access_data t.hier ~addr ~size ~write)
 
-(* Scalar load through an explicit capability [c] (register index [reg]). *)
-let load_scalar t ~reg c ~addr ~width ~unsigned =
-  let size = Insn.width_bytes width in
-  check_alignment addr size false;
-  check_cap t ~reg c Cap.Capability.Load ~addr ~size;
-  ignore (check_page t addr ~write:false ~size);
-  data_penalty t ~addr ~size ~write:false;
+(* Byte index of an access in physical memory, as the address error a
+   bus error becomes. *)
+let phys_index t ~addr ~size ~write =
   try
-    match (width, unsigned) with
-    | Insn.B, true -> Int64.of_int (Mem.Phys.read_u8 t.phys addr)
-    | Insn.B, false ->
-        let v = Mem.Phys.read_u8 t.phys addr in
-        Int64.of_int (if v land 0x80 <> 0 then v - 0x100 else v)
-    | Insn.H, true -> Int64.of_int (Mem.Phys.read_u16 t.phys addr)
-    | Insn.H, false -> sext16 (Mem.Phys.read_u16 t.phys addr)
-    | Insn.W, true -> Int64.of_int (Mem.Phys.read_u32 t.phys addr)
-    | Insn.W, false -> sext32 (Int64.of_int (Mem.Phys.read_u32 t.phys addr))
-    | Insn.D, _ -> Mem.Phys.read_u64 t.phys addr
-  with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
+    if write then Mem.Phys.write_index t.phys addr size else Mem.Phys.index t.phys addr size
+  with Mem.Phys.Bus_error a ->
+    raise (Exn ((if write then Cp0.Address_error_store else Cp0.Address_error_load), a))
 
-let store_scalar t ~reg c ~addr ~width v =
+(* Scalar load through an explicit capability [c] (register index [reg])
+   at the checked address [addr], written straight into GPR [rd]. *)
+let load_scalar t ~reg c ~addr ~width ~unsigned ~rd =
   let size = Insn.width_bytes width in
-  check_alignment addr size true;
-  check_cap t ~reg c Cap.Capability.Store ~addr ~size;
-  ignore (check_page t addr ~write:true ~size);
+  check_cap t ~reg c Cap.Capability.Load ~addr ~size;
+  ignore (check_page t addr ~write:false);
+  data_penalty t ~addr ~size ~write:false;
+  let i = phys_index t ~addr ~size ~write:false in
+  let m = Mem.Phys.data t.phys in
+  match (width, unsigned) with
+  | Insn.B, true -> set_reg t rd (Int64.of_int (Bytes.get_uint8 m i))
+  | Insn.B, false -> set_reg t rd (Int64.of_int (Bytes.get_int8 m i))
+  | Insn.H, true -> set_reg t rd (Int64.of_int (Bytes.get_uint16_le m i))
+  | Insn.H, false -> set_reg t rd (Int64.of_int (Bytes.get_int16_le m i))
+  | Insn.W, true -> set_reg t rd (Int64.of_int (Int32.to_int (Bytes.get_int32_le m i) land 0xFFFF_FFFF))
+  | Insn.W, false -> set_reg t rd (Int64.of_int32 (Bytes.get_int32_le m i))
+  | Insn.D, _ -> set_reg t rd (Bytes.get_int64_le m i)
+
+(* Scalar store of GPR [rs] through [c] at the checked address [addr]. *)
+let store_scalar t ~reg:creg c ~addr ~width ~rs =
+  let size = Insn.width_bytes width in
+  check_cap t ~reg:creg c Cap.Capability.Store ~addr ~size;
+  ignore (check_page t addr ~write:true);
   data_penalty t ~addr ~size ~write:true;
-  (try
-     match width with
-     | Insn.B -> Mem.Phys.write_u8 t.phys addr (Int64.to_int (Int64.logand v 0xFFL))
-     | Insn.H -> Mem.Phys.write_u16 t.phys addr (Int64.to_int (Int64.logand v 0xFFFFL))
-     | Insn.W -> Mem.Phys.write_u32 t.phys addr (Int64.to_int (Int64.logand v 0xFFFF_FFFFL))
-     | Insn.D -> Mem.Phys.write_u64 t.phys addr v
-   with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_store, a)));
+  let i = phys_index t ~addr ~size ~write:true in
+  let m = Mem.Phys.data t.phys in
+  (match width with
+  | Insn.B -> Bytes.set_uint8 m i (Int64.to_int (reg t rs) land 0xFF)
+  | Insn.H -> Bytes.set_uint16_le m i (Int64.to_int (reg t rs) land 0xFFFF)
+  | Insn.W -> Bytes.set_int32_le m i (Int64.to_int32 (reg t rs))
+  | Insn.D -> Bytes.set_int64_le m i (reg t rs));
   t.stores <- t.stores + 1;
   snoop_store t ~addr ~size;
   (* A general-purpose store clears the tag of the overlapped line(s):
@@ -437,7 +497,7 @@ let store_scalar t ~reg c ~addr ~width v =
   Mem.Tags.clear_range t.tags addr size;
   if t.ll_bit && Mem.Tags.line_index t.tags addr = Mem.Tags.line_index t.tags t.ll_addr
   then t.ll_bit <- false;
-  match t.on_store with Some f -> f addr size v | None -> ()
+  match t.on_store with Some f -> f (Int64.of_int addr) size (reg t rs) | None -> ()
 
 let cap_size t = match t.config.cap_width with W256 -> 32 | W128 -> 16
 
@@ -465,47 +525,40 @@ let cap_digest v =
 
 let load_cap t ~reg c ~addr =
   let size = cap_size t in
-  check_alignment addr size false;
   check_cap t ~reg c Cap.Capability.Load_cap ~addr ~size;
-  let prot = check_page t addr ~write:false ~size in
+  let prot = check_page t addr ~write:false in
   data_penalty t ~addr ~size ~write:false;
-  try
-    let tag = Mem.Tags.get t.tags addr in
-    (* The CHERI page-table extension: a page without the capability-load
-       bit yields data with the tag stripped (Section 6.1), giving the OS
-       shared mappings that cannot carry capabilities between processes. *)
-    let tag = tag && prot.Mem.Tlb.cap_load in
-    let c =
-      match t.config.cap_width with
-      | W256 ->
-          (* Word-granule image read: one bounds check, four word loads,
-             no intermediate buffer. *)
-          let i = Mem.Phys.image_index t.phys addr 32 in
-          Cap.Capability.of_words ~tag
-            ~flags:(Mem.Phys.get_u64 t.phys i)
-            ~reserved:(Mem.Phys.get_u64 t.phys (i + 8))
-            ~base:(Mem.Phys.get_u64 t.phys (i + 16))
-            ~length:(Mem.Phys.get_u64 t.phys (i + 24))
-      | W128 ->
-          Cap.Cap128.decompress ~tag (Cap.Cap128.of_bytes (Mem.Phys.read_bytes t.phys addr 16))
-    in
-    (match t.probe with
-    | Some p when Cap.Capability.tag c ->
-        Obs.Probe.note_cap_bounds p ~len:(Cap.Capability.length c)
-    | _ -> ());
-    c
-  with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
+  let tag = Mem.Tags.get t.tags addr in
+  (* The CHERI page-table extension: a page without the capability-load
+     bit yields data with the tag stripped (Section 6.1), giving the OS
+     shared mappings that cannot carry capabilities between processes. *)
+  let tag = tag && prot.Mem.Tlb.cap_load in
+  let i = phys_index t ~addr ~size ~write:false in
+  let m = Mem.Phys.data t.phys in
+  let c =
+    match t.config.cap_width with
+    | W256 ->
+        (* Word-granule image read: one bounds check, four word loads,
+           no intermediate buffer. *)
+        Cap.Capability.of_words ~tag
+          ~flags:(Bytes.get_int64_le m i)
+          ~reserved:(Bytes.get_int64_le m (i + 8))
+          ~base:(Bytes.get_int64_le m (i + 16))
+          ~length:(Bytes.get_int64_le m (i + 24))
+    | W128 -> Cap.Cap128.decompress ~tag (Cap.Cap128.of_bytes (Bytes.sub m i 16))
+  in
+  (match t.probe with
+  | Some p when Cap.Capability.tag c ->
+      Obs.Probe.note_cap_bounds p ~len:(Cap.Capability.length c)
+  | _ -> ());
+  c
 
 let store_cap t ~reg c ~addr v =
   let size = cap_size t in
-  check_alignment addr size true;
   check_cap t ~reg c Cap.Capability.Store_cap ~addr ~size;
-  let prot = check_page t addr ~write:true ~size in
-  if Cap.Capability.tag v && not prot.Mem.Tlb.cap_store then begin
-    t.cp0.Cp0.capcause <- Cap.Cause.Permit_store_capability_violation;
-    t.cp0.Cp0.capcause_reg <- reg;
-    raise (Exn (Cp0.Cp2 Cap.Cause.Permit_store_capability_violation, addr))
-  end;
+  let prot = check_page t addr ~write:true in
+  if Cap.Capability.tag v && not prot.Mem.Tlb.cap_store then
+    cap_fault t ~reg Cap.Cause.Permit_store_capability_violation (Int64.of_int addr);
   (match t.config.cap_width with
   | W256 ->
       data_penalty t ~addr ~size ~write:true;
@@ -513,13 +566,12 @@ let store_cap t ~reg c ~addr v =
          no intermediate buffer.  (The 256-bit image cannot fail to
          encode, so materialising it after the penalty charge changes
          nothing observable.) *)
-      (try
-         let i = Mem.Phys.image_index t.phys addr 32 in
-         Mem.Phys.set_u64 t.phys i (Cap.Capability.flags_word v);
-         Mem.Phys.set_u64 t.phys (i + 8) (Cap.Capability.reserved_word v);
-         Mem.Phys.set_u64 t.phys (i + 16) (Cap.Capability.base v);
-         Mem.Phys.set_u64 t.phys (i + 24) (Cap.Capability.length v)
-       with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_store, a)))
+      let i = phys_index t ~addr ~size ~write:true in
+      let m = Mem.Phys.data t.phys in
+      Bytes.set_int64_le m i (Cap.Capability.flags_word v);
+      Bytes.set_int64_le m (i + 8) (Cap.Capability.reserved_word v);
+      Bytes.set_int64_le m (i + 16) (Cap.Capability.base v);
+      Bytes.set_int64_le m (i + 24) (Cap.Capability.length v)
   | W128 ->
       (* The compressed machine refuses to store a capability whose
          bounds the 128-bit format cannot represent exactly — checked
@@ -527,14 +579,11 @@ let store_cap t ~reg c ~addr v =
       let image =
         match Cap.Cap128.compress v with
         | Ok c -> Cap.Cap128.to_bytes c
-        | Error cause ->
-            t.cp0.Cp0.capcause <- cause;
-            t.cp0.Cp0.capcause_reg <- reg;
-            raise (Exn (Cp0.Cp2 cause, addr))
+        | Error cause -> cap_fault t ~reg cause (Int64.of_int addr)
       in
       data_penalty t ~addr ~size ~write:true;
-      (try Mem.Phys.write_bytes t.phys addr image
-       with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_store, a))));
+      let i = phys_index t ~addr ~size ~write:true in
+      Bytes.blit image 0 (Mem.Phys.data t.phys) i size);
   t.stores <- t.stores + 1;
   snoop_store t ~addr ~size;
   (match t.probe with
@@ -542,325 +591,367 @@ let store_cap t ~reg c ~addr v =
       Obs.Probe.note_cap_bounds p ~len:(Cap.Capability.length v)
   | _ -> ());
   Mem.Tags.set t.tags addr (Cap.Capability.tag v);
-  match t.on_store with Some f -> f addr 0 (cap_digest v) | None -> ()
+  match t.on_store with Some f -> f (Int64.of_int addr) 0 (cap_digest v) | None -> ()
 
 (* --- CP2 helpers -------------------------------------------------------- *)
 
 let cap_op t ~reg result =
-  match result with
-  | Ok c -> c
-  | Error cause ->
-      t.cp0.Cp0.capcause <- cause;
-      t.cp0.Cp0.capcause_reg <- reg;
-      raise (Exn (Cp0.Cp2 cause, 0L))
+  match result with Ok c -> c | Error cause -> cap_fault t ~reg cause 0L
 
 (* Effective address of a capability-relative access: base + index + imm. *)
-let cap_ea c rt_val imm = Int64.add (Cap.Capability.base c) (Int64.add rt_val (Int64.of_int imm))
+let[@inline] cap_ea c rt_val imm =
+  Int64.add (Cap.Capability.base c) (Int64.add rt_val (Int64.of_int imm))
 
 (* Effective address of a legacy access: C0-relative (Section 4.1). *)
-let legacy_ea t base offset =
-  let va = Int64.add (gpr t base) (sext16 (offset land 0xFFFF)) in
+let[@inline] legacy_ea t base offset =
+  let va = Int64.add (reg t base) (sext16 (offset land 0xFFFF)) in
   Int64.add (Cap.Capability.base t.caps.(0)) va
 
-let branch_target pc offset = Int64.add pc (Int64.of_int (4 + (offset * 4)))
+let[@inline] branch_target pc offset = Int64.add pc (Int64.of_int (4 + (offset * 4)))
 
 (* --- the interpreter ----------------------------------------------------- *)
 
-let overflow_add a b =
+let[@inline] overflow_add a b =
   let s = Int64.add a b in
   (Int64.logxor s a) < 0L && (Int64.logxor s b) < 0L
 
-(* Execute one decoded instruction.  Returns the next PC. *)
+(* Execute one decoded instruction and store the next PC.  The PC slot
+   still holds the instruction's own address until the very end of each
+   case, so a trap raised on the way reports it (EPC), and observers
+   reading the PC during execute see the in-flight instruction. *)
 let execute t insn =
-  let pc = t.pc in
+  let pc = pc t in
   let next = Int64.add pc 4L in
   match insn with
   | Insn.Add (d, s, u) ->
-      let a = sext32 (gpr t s) and b = sext32 (gpr t u) in
+      let a = sext32 (reg t s) and b = sext32 (reg t u) in
       let sum = Int64.add a b in
       (* 32-bit signed overflow: the 64-bit sum of sign-extended operands
          falls outside the 32-bit range *)
       if not (Int64.equal (sext32 sum) sum) then raise (Exn (Cp0.Overflow, 0L));
-      set_gpr t d sum;
-      next
-  | Insn.Addu (d, s, u) -> set_gpr t d (sext32 (Int64.add (gpr t s) (gpr t u))); next
+      set_reg t d sum;
+      set_pc t next
+  | Insn.Addu (d, s, u) -> set_reg t d (sext32 (Int64.add (reg t s) (reg t u))); set_pc t next
   | Insn.Dadd (d, s, u) ->
-      if overflow_add (gpr t s) (gpr t u) then raise (Exn (Cp0.Overflow, 0L));
-      set_gpr t d (Int64.add (gpr t s) (gpr t u));
-      next
-  | Insn.Daddu (d, s, u) -> set_gpr t d (Int64.add (gpr t s) (gpr t u)); next
+      if overflow_add (reg t s) (reg t u) then raise (Exn (Cp0.Overflow, 0L));
+      set_reg t d (Int64.add (reg t s) (reg t u));
+      set_pc t next
+  | Insn.Daddu (d, s, u) -> set_reg t d (Int64.add (reg t s) (reg t u)); set_pc t next
   | Insn.Sub (d, s, u) ->
-      let diff = Int64.sub (sext32 (gpr t s)) (sext32 (gpr t u)) in
+      let diff = Int64.sub (sext32 (reg t s)) (sext32 (reg t u)) in
       if not (Int64.equal (sext32 diff) diff) then raise (Exn (Cp0.Overflow, 0L));
-      set_gpr t d diff;
-      next
-  | Insn.Subu (d, s, u) -> set_gpr t d (sext32 (Int64.sub (gpr t s) (gpr t u))); next
-  | Insn.Dsubu (d, s, u) -> set_gpr t d (Int64.sub (gpr t s) (gpr t u)); next
-  | Insn.And (d, s, u) -> set_gpr t d (Int64.logand (gpr t s) (gpr t u)); next
-  | Insn.Or (d, s, u) -> set_gpr t d (Int64.logor (gpr t s) (gpr t u)); next
-  | Insn.Xor (d, s, u) -> set_gpr t d (Int64.logxor (gpr t s) (gpr t u)); next
-  | Insn.Nor (d, s, u) -> set_gpr t d (Int64.lognot (Int64.logor (gpr t s) (gpr t u))); next
-  | Insn.Slt (d, s, u) -> set_gpr t d (bool64 (Int64.compare (gpr t s) (gpr t u) < 0)); next
-  | Insn.Sltu (d, s, u) -> set_gpr t d (bool64 (Int64.unsigned_compare (gpr t s) (gpr t u) < 0)); next
-  | Insn.Addiu (r, s, i) -> set_gpr t r (sext32 (Int64.add (gpr t s) (sext16 (i land 0xFFFF)))); next
-  | Insn.Daddiu (r, s, i) -> set_gpr t r (Int64.add (gpr t s) (sext16 (i land 0xFFFF))); next
-  | Insn.Andi (r, s, i) -> set_gpr t r (Int64.logand (gpr t s) (Int64.of_int (i land 0xFFFF))); next
-  | Insn.Ori (r, s, i) -> set_gpr t r (Int64.logor (gpr t s) (Int64.of_int (i land 0xFFFF))); next
-  | Insn.Xori (r, s, i) -> set_gpr t r (Int64.logxor (gpr t s) (Int64.of_int (i land 0xFFFF))); next
-  | Insn.Slti (r, s, i) -> set_gpr t r (bool64 (Int64.compare (gpr t s) (sext16 (i land 0xFFFF)) < 0)); next
+      set_reg t d diff;
+      set_pc t next
+  | Insn.Subu (d, s, u) -> set_reg t d (sext32 (Int64.sub (reg t s) (reg t u))); set_pc t next
+  | Insn.Dsubu (d, s, u) -> set_reg t d (Int64.sub (reg t s) (reg t u)); set_pc t next
+  | Insn.And (d, s, u) -> set_reg t d (Int64.logand (reg t s) (reg t u)); set_pc t next
+  | Insn.Or (d, s, u) -> set_reg t d (Int64.logor (reg t s) (reg t u)); set_pc t next
+  | Insn.Xor (d, s, u) -> set_reg t d (Int64.logxor (reg t s) (reg t u)); set_pc t next
+  | Insn.Nor (d, s, u) -> set_reg t d (Int64.lognot (Int64.logor (reg t s) (reg t u))); set_pc t next
+  | Insn.Slt (d, s, u) -> set_reg t d (bool64 (Int64.compare (reg t s) (reg t u) < 0)); set_pc t next
+  | Insn.Sltu (d, s, u) ->
+      set_reg t d (bool64 (Int64.unsigned_compare (reg t s) (reg t u) < 0));
+      set_pc t next
+  | Insn.Addiu (r, s, i) ->
+      set_reg t r (sext32 (Int64.add (reg t s) (sext16 (i land 0xFFFF))));
+      set_pc t next
+  | Insn.Daddiu (r, s, i) -> set_reg t r (Int64.add (reg t s) (sext16 (i land 0xFFFF))); set_pc t next
+  | Insn.Andi (r, s, i) -> set_reg t r (Int64.logand (reg t s) (Int64.of_int (i land 0xFFFF))); set_pc t next
+  | Insn.Ori (r, s, i) -> set_reg t r (Int64.logor (reg t s) (Int64.of_int (i land 0xFFFF))); set_pc t next
+  | Insn.Xori (r, s, i) -> set_reg t r (Int64.logxor (reg t s) (Int64.of_int (i land 0xFFFF))); set_pc t next
+  | Insn.Slti (r, s, i) ->
+      set_reg t r (bool64 (Int64.compare (reg t s) (sext16 (i land 0xFFFF)) < 0));
+      set_pc t next
   | Insn.Sltiu (r, s, i) ->
-      set_gpr t r (bool64 (Int64.unsigned_compare (gpr t s) (sext16 (i land 0xFFFF)) < 0));
-      next
-  | Insn.Lui (r, i) -> set_gpr t r (sext32 (Int64.shift_left (Int64.of_int (i land 0xFFFF)) 16)); next
-  | Insn.Sll (d, s, sa) -> set_gpr t d (sext32 (Int64.shift_left (gpr t s) sa)); next
+      set_reg t r (bool64 (Int64.unsigned_compare (reg t s) (sext16 (i land 0xFFFF)) < 0));
+      set_pc t next
+  | Insn.Lui (r, i) ->
+      set_reg t r (sext32 (Int64.shift_left (Int64.of_int (i land 0xFFFF)) 16));
+      set_pc t next
+  | Insn.Sll (d, s, sa) -> set_reg t d (sext32 (Int64.shift_left (reg t s) sa)); set_pc t next
   | Insn.Srl (d, s, sa) ->
-      set_gpr t d (sext32 (Int64.shift_right_logical (Int64.logand (gpr t s) 0xFFFF_FFFFL) sa));
-      next
-  | Insn.Sra (d, s, sa) -> set_gpr t d (sext32 (Int64.shift_right (sext32 (gpr t s)) sa)); next
-  | Insn.Dsll (d, s, sa) -> set_gpr t d (Int64.shift_left (gpr t s) sa); next
-  | Insn.Dsrl (d, s, sa) -> set_gpr t d (Int64.shift_right_logical (gpr t s) sa); next
-  | Insn.Dsra (d, s, sa) -> set_gpr t d (Int64.shift_right (gpr t s) sa); next
-  | Insn.Dsll32 (d, s, sa) -> set_gpr t d (Int64.shift_left (gpr t s) (sa + 32)); next
-  | Insn.Dsrl32 (d, s, sa) -> set_gpr t d (Int64.shift_right_logical (gpr t s) (sa + 32)); next
-  | Insn.Sllv (d, u, s) -> set_gpr t d (sext32 (Int64.shift_left (gpr t u) (Int64.to_int (gpr t s) land 31))); next
+      set_reg t d (sext32 (Int64.shift_right_logical (Int64.logand (reg t s) 0xFFFF_FFFFL) sa));
+      set_pc t next
+  | Insn.Sra (d, s, sa) -> set_reg t d (sext32 (Int64.shift_right (sext32 (reg t s)) sa)); set_pc t next
+  | Insn.Dsll (d, s, sa) -> set_reg t d (Int64.shift_left (reg t s) sa); set_pc t next
+  | Insn.Dsrl (d, s, sa) -> set_reg t d (Int64.shift_right_logical (reg t s) sa); set_pc t next
+  | Insn.Dsra (d, s, sa) -> set_reg t d (Int64.shift_right (reg t s) sa); set_pc t next
+  | Insn.Dsll32 (d, s, sa) -> set_reg t d (Int64.shift_left (reg t s) (sa + 32)); set_pc t next
+  | Insn.Dsrl32 (d, s, sa) -> set_reg t d (Int64.shift_right_logical (reg t s) (sa + 32)); set_pc t next
+  | Insn.Sllv (d, u, s) ->
+      set_reg t d (sext32 (Int64.shift_left (reg t u) (Int64.to_int (reg t s) land 31)));
+      set_pc t next
   | Insn.Srlv (d, u, s) ->
-      set_gpr t d (sext32 (Int64.shift_right_logical (Int64.logand (gpr t u) 0xFFFF_FFFFL)
-                      (Int64.to_int (gpr t s) land 31)));
-      next
-  | Insn.Srav (d, u, s) -> set_gpr t d (sext32 (Int64.shift_right (sext32 (gpr t u)) (Int64.to_int (gpr t s) land 31))); next
-  | Insn.Dsllv (d, u, s) -> set_gpr t d (Int64.shift_left (gpr t u) (Int64.to_int (gpr t s) land 63)); next
-  | Insn.Dsrlv (d, u, s) -> set_gpr t d (Int64.shift_right_logical (gpr t u) (Int64.to_int (gpr t s) land 63)); next
-  | Insn.Dsrav (d, u, s) -> set_gpr t d (Int64.shift_right (gpr t u) (Int64.to_int (gpr t s) land 63)); next
+      set_reg t d
+        (sext32
+           (Int64.shift_right_logical (Int64.logand (reg t u) 0xFFFF_FFFFL)
+              (Int64.to_int (reg t s) land 31)));
+      set_pc t next
+  | Insn.Srav (d, u, s) ->
+      set_reg t d (sext32 (Int64.shift_right (sext32 (reg t u)) (Int64.to_int (reg t s) land 31)));
+      set_pc t next
+  | Insn.Dsllv (d, u, s) ->
+      set_reg t d (Int64.shift_left (reg t u) (Int64.to_int (reg t s) land 63));
+      set_pc t next
+  | Insn.Dsrlv (d, u, s) ->
+      set_reg t d (Int64.shift_right_logical (reg t u) (Int64.to_int (reg t s) land 63));
+      set_pc t next
+  | Insn.Dsrav (d, u, s) ->
+      set_reg t d (Int64.shift_right (reg t u) (Int64.to_int (reg t s) land 63));
+      set_pc t next
   | Insn.Mult (s, u) ->
       charge t t.config.mult_cycles;
-      let p = Int64.mul (sext32 (gpr t s)) (sext32 (gpr t u)) in
-      t.regs.Regs.lo <- sext32 p;
-      t.regs.Regs.hi <- sext32 (Int64.shift_right p 32);
-      next
+      let p = Int64.mul (sext32 (reg t s)) (sext32 (reg t u)) in
+      set_lo t (sext32 p);
+      set_hi t (sext32 (Int64.shift_right p 32));
+      set_pc t next
   | Insn.Multu (s, u) ->
       charge t t.config.mult_cycles;
-      let a = Int64.logand (gpr t s) 0xFFFF_FFFFL and b = Int64.logand (gpr t u) 0xFFFF_FFFFL in
+      let a = Int64.logand (reg t s) 0xFFFF_FFFFL and b = Int64.logand (reg t u) 0xFFFF_FFFFL in
       let p = Int64.mul a b in
-      t.regs.Regs.lo <- sext32 p;
-      t.regs.Regs.hi <- sext32 (Int64.shift_right_logical p 32);
-      next
+      set_lo t (sext32 p);
+      set_hi t (sext32 (Int64.shift_right_logical p 32));
+      set_pc t next
   | Insn.Dmult (s, u) | Insn.Dmultu (s, u) ->
       charge t t.config.mult_cycles;
       (* 128-bit product truncated to LO; HI receives the (approximate) high
          word — full 128-bit multiply is not needed by any workload. *)
-      t.regs.Regs.lo <- Int64.mul (gpr t s) (gpr t u);
-      t.regs.Regs.hi <- 0L;
-      next
+      set_lo t (Int64.mul (reg t s) (reg t u));
+      set_hi t 0L;
+      set_pc t next
   | Insn.Div (s, u) ->
       charge t t.config.div_cycles;
-      let a = sext32 (gpr t s) and b = sext32 (gpr t u) in
+      let a = sext32 (reg t s) and b = sext32 (reg t u) in
       if Int64.equal b 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
+        set_lo t 0L;
+        set_hi t 0L
       end
       else begin
-        t.regs.Regs.lo <- sext32 (Int64.div a b);
-        t.regs.Regs.hi <- sext32 (Int64.rem a b)
+        set_lo t (sext32 (Int64.div a b));
+        set_hi t (sext32 (Int64.rem a b))
       end;
-      next
+      set_pc t next
   | Insn.Divu (s, u) ->
       charge t t.config.div_cycles;
-      let a = Int64.logand (gpr t s) 0xFFFF_FFFFL and b = Int64.logand (gpr t u) 0xFFFF_FFFFL in
+      let a = Int64.logand (reg t s) 0xFFFF_FFFFL and b = Int64.logand (reg t u) 0xFFFF_FFFFL in
       if Int64.equal b 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
+        set_lo t 0L;
+        set_hi t 0L
       end
       else begin
-        t.regs.Regs.lo <- sext32 (Int64.unsigned_div a b);
-        t.regs.Regs.hi <- sext32 (Int64.unsigned_rem a b)
+        set_lo t (sext32 (Int64.unsigned_div a b));
+        set_hi t (sext32 (Int64.unsigned_rem a b))
       end;
-      next
+      set_pc t next
   | Insn.Ddiv (s, u) ->
       charge t t.config.div_cycles;
-      if Int64.equal (gpr t u) 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
+      if Int64.equal (reg t u) 0L then begin
+        set_lo t 0L;
+        set_hi t 0L
       end
       else begin
-        t.regs.Regs.lo <- Int64.div (gpr t s) (gpr t u);
-        t.regs.Regs.hi <- Int64.rem (gpr t s) (gpr t u)
+        set_lo t (Int64.div (reg t s) (reg t u));
+        set_hi t (Int64.rem (reg t s) (reg t u))
       end;
-      next
+      set_pc t next
   | Insn.Ddivu (s, u) ->
       charge t t.config.div_cycles;
-      if Int64.equal (gpr t u) 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
+      if Int64.equal (reg t u) 0L then begin
+        set_lo t 0L;
+        set_hi t 0L
       end
       else begin
-        t.regs.Regs.lo <- Int64.unsigned_div (gpr t s) (gpr t u);
-        t.regs.Regs.hi <- Int64.unsigned_rem (gpr t s) (gpr t u)
+        set_lo t (Int64.unsigned_div (reg t s) (reg t u));
+        set_hi t (Int64.unsigned_rem (reg t s) (reg t u))
       end;
-      next
-  | Insn.Mfhi d -> set_gpr t d t.regs.Regs.hi; next
-  | Insn.Mflo d -> set_gpr t d t.regs.Regs.lo; next
-  | Insn.Mthi s -> t.regs.Regs.hi <- gpr t s; next
-  | Insn.Mtlo s -> t.regs.Regs.lo <- gpr t s; next
+      set_pc t next
+  | Insn.Mfhi d -> set_reg t d (hi t); set_pc t next
+  | Insn.Mflo d -> set_reg t d (lo t); set_pc t next
+  | Insn.Mthi s -> set_hi t (reg t s); set_pc t next
+  | Insn.Mtlo s -> set_lo t (reg t s); set_pc t next
   | Insn.Load (w, u, r, b, o) ->
-      let addr = legacy_ea t b o in
-      set_gpr t r (load_scalar t ~reg:0 t.caps.(0) ~addr ~width:w ~unsigned:u);
-      next
+      let c = t.caps.(0) in
+      let addr =
+        data_addr t ~reg:0 c Cap.Capability.Load ~size:(Insn.width_bytes w) (legacy_ea t b o)
+      in
+      load_scalar t ~reg:0 c ~addr ~width:w ~unsigned:u ~rd:r;
+      set_pc t next
   | Insn.Store (w, r, b, o) ->
-      let addr = legacy_ea t b o in
-      store_scalar t ~reg:0 t.caps.(0) ~addr ~width:w (gpr t r);
-      next
+      let c = t.caps.(0) in
+      let addr =
+        data_addr t ~reg:0 c Cap.Capability.Store ~size:(Insn.width_bytes w) (legacy_ea t b o)
+      in
+      store_scalar t ~reg:0 c ~addr ~width:w ~rs:r;
+      set_pc t next
   | Insn.Lld (r, b, o) ->
-      let addr = legacy_ea t b o in
-      let v = load_scalar t ~reg:0 t.caps.(0) ~addr ~width:Insn.D ~unsigned:false in
+      let c = t.caps.(0) in
+      let addr = data_addr t ~reg:0 c Cap.Capability.Load ~size:8 (legacy_ea t b o) in
+      load_scalar t ~reg:0 c ~addr ~width:Insn.D ~unsigned:false ~rd:r;
       t.ll_bit <- true;
       t.ll_addr <- addr;
-      set_gpr t r v;
-      next
+      set_pc t next
   | Insn.Scd (r, b, o) ->
-      let addr = legacy_ea t b o in
-      if t.ll_bit && Int64.equal addr t.ll_addr then begin
-        store_scalar t ~reg:0 t.caps.(0) ~addr ~width:Insn.D (gpr t r);
+      let ea = legacy_ea t b o in
+      if t.ll_bit && Int64.equal ea (Int64.of_int t.ll_addr) then begin
+        let c = t.caps.(0) in
+        let addr = data_addr t ~reg:0 c Cap.Capability.Store ~size:8 ea in
+        store_scalar t ~reg:0 c ~addr ~width:Insn.D ~rs:r;
         t.ll_bit <- false;
-        set_gpr t r 1L
+        set_reg t r 1L
       end
-      else set_gpr t r 0L;
-      next
+      else set_reg t r 0L;
+      set_pc t next
   | Insn.J target ->
-      Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4))
+      set_pc t (Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4)))
   | Insn.Jal target ->
-      set_gpr t Regs.ra next;
-      Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4))
-  | Insn.Jr s -> gpr t s
+      set_reg t Regs.ra next;
+      set_pc t (Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4)))
+  | Insn.Jr s -> set_pc t (reg t s)
   | Insn.Jalr (d, s) ->
-      let dest = gpr t s in
-      set_gpr t d next;
-      dest
-  | Insn.Beq (s, u, o) -> if Int64.equal (gpr t s) (gpr t u) then branch_target pc o else next
-  | Insn.Bne (s, u, o) -> if not (Int64.equal (gpr t s) (gpr t u)) then branch_target pc o else next
-  | Insn.Blez (s, o) -> if Int64.compare (gpr t s) 0L <= 0 then branch_target pc o else next
-  | Insn.Bgtz (s, o) -> if Int64.compare (gpr t s) 0L > 0 then branch_target pc o else next
-  | Insn.Bltz (s, o) -> if Int64.compare (gpr t s) 0L < 0 then branch_target pc o else next
-  | Insn.Bgez (s, o) -> if Int64.compare (gpr t s) 0L >= 0 then branch_target pc o else next
+      let dest = reg t s in
+      set_reg t d next;
+      set_pc t dest
+  | Insn.Beq (s, u, o) ->
+      set_pc t (if Int64.equal (reg t s) (reg t u) then branch_target pc o else next)
+  | Insn.Bne (s, u, o) ->
+      set_pc t (if not (Int64.equal (reg t s) (reg t u)) then branch_target pc o else next)
+  | Insn.Blez (s, o) -> set_pc t (if Int64.compare (reg t s) 0L <= 0 then branch_target pc o else next)
+  | Insn.Bgtz (s, o) -> set_pc t (if Int64.compare (reg t s) 0L > 0 then branch_target pc o else next)
+  | Insn.Bltz (s, o) -> set_pc t (if Int64.compare (reg t s) 0L < 0 then branch_target pc o else next)
+  | Insn.Bgez (s, o) -> set_pc t (if Int64.compare (reg t s) 0L >= 0 then branch_target pc o else next)
   | Insn.Syscall -> raise (Exn (Cp0.Syscall, 0L))
   | Insn.Break -> raise (Exn (Cp0.Breakpoint, 0L))
   | Insn.Eret ->
       if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Reserved_instruction, 0L));
       t.cp0.Cp0.exl <- false;
-      t.cp0.Cp0.epc
+      set_pc t t.cp0.Cp0.epc
   | Insn.Mfc0 (r, d) ->
       if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Coprocessor_unusable, 0L));
-      set_gpr t r (Cp0.read t.cp0 d);
-      next
+      set_reg t r (Cp0.read t.cp0 d);
+      set_pc t next
   | Insn.Mtc0 (r, d) ->
       if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Coprocessor_unusable, 0L));
-      Cp0.write t.cp0 d (gpr t r);
-      next
+      Cp0.write t.cp0 d (reg t r);
+      set_pc t next
   | Insn.Trace (m, a, b) ->
-      t.on_trace t m (gpr t a) (gpr t b);
-      next
+      t.on_trace t m (reg t a) (reg t b);
+      set_pc t next
   (* --- CP2 ----------------------------------------------------------- *)
-  | Insn.CGetBase (d, cb) -> set_gpr t d (Cap.Capability.base t.caps.(cb)); next
-  | Insn.CGetLen (d, cb) -> set_gpr t d (Cap.Capability.length t.caps.(cb)); next
-  | Insn.CGetTag (d, cb) -> set_gpr t d (bool64 (Cap.Capability.tag t.caps.(cb))); next
+  | Insn.CGetBase (d, cb) -> set_reg t d (Cap.Capability.base t.caps.(cb)); set_pc t next
+  | Insn.CGetLen (d, cb) -> set_reg t d (Cap.Capability.length t.caps.(cb)); set_pc t next
+  | Insn.CGetTag (d, cb) -> set_reg t d (bool64 (Cap.Capability.tag t.caps.(cb))); set_pc t next
   | Insn.CGetPerm (d, cb) ->
-      set_gpr t d (Int64.of_int (Cap.Perms.to_int (Cap.Capability.perms t.caps.(cb))));
-      next
+      set_reg t d (Int64.of_int (Cap.Perms.to_int (Cap.Capability.perms t.caps.(cb))));
+      set_pc t next
   | Insn.CGetPCC (d, cd) ->
       t.caps.(cd) <- t.pcc;
-      set_gpr t d pc;
-      next
+      set_reg t d pc;
+      set_pc t next
   | Insn.CGetCause d ->
-      set_gpr t d
+      set_reg t d
         (Int64.of_int
            ((Cap.Cause.code t.cp0.Cp0.capcause lsl 8) lor t.cp0.Cp0.capcause_reg));
-      next
+      set_pc t next
   | Insn.CIncBase (cd, cb, rt) ->
-      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.inc_base t.caps.(cb) (gpr t rt));
-      next
+      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.inc_base t.caps.(cb) (reg t rt));
+      set_pc t next
   | Insn.CSetLen (cd, cb, rt) ->
-      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.set_len t.caps.(cb) (gpr t rt));
-      next
+      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.set_len t.caps.(cb) (reg t rt));
+      set_pc t next
   | Insn.CClearTag (cd, cb) ->
       t.caps.(cd) <- Cap.Capability.clear_tag t.caps.(cb);
-      next
+      set_pc t next
   | Insn.CAndPerm (cd, cb, rt) ->
       t.caps.(cd) <-
         cap_op t ~reg:cb
           (Cap.Capability.and_perm t.caps.(cb)
-             (Cap.Perms.of_int (Int64.to_int (Int64.logand (gpr t rt) 0x7FFF_FFFFL))));
-      next
+             (Cap.Perms.of_int (Int64.to_int (Int64.logand (reg t rt) 0x7FFF_FFFFL))));
+      set_pc t next
   | Insn.CMove (cd, cb) ->
       t.caps.(cd) <- t.caps.(cb);
-      next
+      set_pc t next
   | Insn.CToPtr (rd, cb, ct) ->
-      set_gpr t rd (Cap.Capability.to_ptr t.caps.(cb) ~relative_to:t.caps.(ct));
-      next
+      set_reg t rd (Cap.Capability.to_ptr t.caps.(cb) ~relative_to:t.caps.(ct));
+      set_pc t next
   | Insn.CFromPtr (cd, cb, rt) ->
-      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.from_ptr t.caps.(cb) (gpr t rt));
-      next
+      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.from_ptr t.caps.(cb) (reg t rt));
+      set_pc t next
   | Insn.CBTU (cb, o) ->
-      if not (Cap.Capability.tag t.caps.(cb)) then branch_target pc o else next
+      set_pc t (if not (Cap.Capability.tag t.caps.(cb)) then branch_target pc o else next)
   | Insn.CBTS (cb, o) ->
-      if Cap.Capability.tag t.caps.(cb) then branch_target pc o else next
+      set_pc t (if Cap.Capability.tag t.caps.(cb) then branch_target pc o else next)
   | Insn.CLC (cd, cb, rt, i) ->
       let c = t.caps.(cb) in
-      t.caps.(cd) <- load_cap t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i);
-      next
+      let addr =
+        data_addr t ~reg:cb c Cap.Capability.Load_cap ~size:(cap_size t) (cap_ea c (reg t rt) i)
+      in
+      t.caps.(cd) <- load_cap t ~reg:cb c ~addr;
+      set_pc t next
   | Insn.CSC (cs, cb, rt, i) ->
       let c = t.caps.(cb) in
-      store_cap t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) t.caps.(cs);
-      next
+      let addr =
+        data_addr t ~reg:cb c Cap.Capability.Store_cap ~size:(cap_size t) (cap_ea c (reg t rt) i)
+      in
+      store_cap t ~reg:cb c ~addr t.caps.(cs);
+      set_pc t next
   | Insn.CLoad (w, u, rd, cb, rt, i) ->
       let c = t.caps.(cb) in
-      set_gpr t rd (load_scalar t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) ~width:w ~unsigned:u);
-      next
+      let addr =
+        data_addr t ~reg:cb c Cap.Capability.Load ~size:(Insn.width_bytes w) (cap_ea c (reg t rt) i)
+      in
+      load_scalar t ~reg:cb c ~addr ~width:w ~unsigned:u ~rd;
+      set_pc t next
   | Insn.CStore (w, rs, cb, rt, i) ->
       let c = t.caps.(cb) in
-      store_scalar t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) ~width:w (gpr t rs);
-      next
+      let addr =
+        data_addr t ~reg:cb c Cap.Capability.Store ~size:(Insn.width_bytes w)
+          (cap_ea c (reg t rt) i)
+      in
+      store_scalar t ~reg:cb c ~addr ~width:w ~rs;
+      set_pc t next
   | Insn.CLLD (rd, cb) ->
       let c = t.caps.(cb) in
-      let addr = Cap.Capability.base c in
-      let v = load_scalar t ~reg:cb c ~addr ~width:Insn.D ~unsigned:false in
+      let addr = data_addr t ~reg:cb c Cap.Capability.Load ~size:8 (Cap.Capability.base c) in
+      load_scalar t ~reg:cb c ~addr ~width:Insn.D ~unsigned:false ~rd;
       t.ll_bit <- true;
       t.ll_addr <- addr;
-      set_gpr t rd v;
-      next
+      set_pc t next
   | Insn.CSCD (rd, rs, cb) ->
       let c = t.caps.(cb) in
-      let addr = Cap.Capability.base c in
-      if t.ll_bit && Int64.equal addr t.ll_addr then begin
-        store_scalar t ~reg:cb c ~addr ~width:Insn.D (gpr t rs);
+      let ea = Cap.Capability.base c in
+      if t.ll_bit && Int64.equal ea (Int64.of_int t.ll_addr) then begin
+        let addr = data_addr t ~reg:cb c Cap.Capability.Store ~size:8 ea in
+        store_scalar t ~reg:cb c ~addr ~width:Insn.D ~rs;
         t.ll_bit <- false;
-        set_gpr t rd 1L
+        set_reg t rd 1L
       end
-      else set_gpr t rd 0L;
-      next
+      else set_reg t rd 0L;
+      set_pc t next
   | Insn.CJR cb ->
       let c = t.caps.(cb) in
-      check_cap t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4;
+      check_cap64 t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4L;
       t.pcc <- c;
-      Cap.Capability.base c
+      set_pc t (Cap.Capability.base c)
   | Insn.CJALR (cd, cb) ->
       let c = t.caps.(cb) in
-      check_cap t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4;
+      check_cap64 t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4L;
       (* Link: derive a return capability whose base is the return point —
          a monotonic restriction of the current PCC. *)
       let delta = Int64.sub next (Cap.Capability.base t.pcc) in
       t.caps.(cd) <- cap_op t ~reg:cd (Cap.Capability.inc_base t.pcc delta);
       t.pcc <- c;
-      Cap.Capability.base c
+      set_pc t (Cap.Capability.base c)
   | Insn.CSeal (cd, cs, ct) ->
       let authority = t.caps.(ct) in
       let ot = Int64.to_int (Int64.logand (Cap.Capability.base authority) 0xFF_FFFFL) in
       t.caps.(cd) <- cap_op t ~reg:cs (Cap.Capability.seal t.caps.(cs) ~authority ~otype:ot);
-      next
+      set_pc t next
   | Insn.CUnseal (cd, cs, ct) ->
       let authority = t.caps.(ct) in
       let ot = Int64.to_int (Int64.logand (Cap.Capability.base authority) 0xFF_FFFFL) in
       t.caps.(cd) <-
         cap_op t ~reg:cs (Cap.Capability.unseal t.caps.(cs) ~authority ~otype:ot);
-      next
+      set_pc t next
   | Insn.CCall (_, _) ->
       t.cp0.Cp0.capcause <- Cap.Cause.Call_trap;
       raise (Exn (Cp0.Cp2 Cap.Cause.Call_trap, 0L))
@@ -869,15 +960,19 @@ let execute t insn =
       raise (Exn (Cp0.Cp2 Cap.Cause.Return_trap, 0L))
 
 (* Fetch the instruction word at PC, validated against PCC (Section 4.4:
-   the absolute PC is checked against PCC in Execute). *)
+   the absolute PC is checked against PCC in Execute).  A PC that does not
+   fit a native int traps like any such address ([wide_trap]). *)
 let fetch t =
-  check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-  let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb t.pc in
-  if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then
-    raise (Exn (Cp0.Tlb_load, t.pc));
-  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
-  try Mem.Phys.read_u32 t.phys t.pc
-  with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
+  let pc = pc t in
+  let addr = Int64.to_int pc in
+  if not (Int64.equal (Int64.of_int addr) pc) then
+    wide_trap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:pc ~size:4;
+  check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr ~size:4;
+  let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb addr in
+  if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then raise (Exn (Cp0.Tlb_load, pc));
+  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr);
+  let i = phys_index t ~addr ~size:4 ~write:false in
+  Int32.to_int (Bytes.get_int32_le (Mem.Phys.data t.phys) i) land 0xFFFF_FFFF
 
 (* Execute a single instruction, routing exceptions to the kernel model. *)
 let invalidate_icache t =
@@ -889,37 +984,38 @@ let invalidate_icache t =
    [step] and the superblock executor, so both engines dispatch traps
    through byte-identical CP0 state updates. *)
 let dispatch_exn t exc badv =
-  t.cp0.Cp0.epc <- t.pc;
+  let victim_pc = pc t in
+  t.cp0.Cp0.epc <- victim_pc;
   t.cp0.Cp0.badvaddr <- badv;
   t.cp0.Cp0.last_exc <- Some exc;
   t.cp0.Cp0.exl <- true;
   t.ll_bit <- false;
   t.kernel_entries <- t.kernel_entries + 1;
-  let ctx = { exc; victim_pc = t.pc } in
+  let ctx = { exc; victim_pc } in
   match t.kernel t ctx with
   | Resume_at pc ->
       t.cp0.Cp0.exl <- false;
-      t.pc <- pc
+      set_pc t pc
   | Halt code -> raise (Halted code)
   | Fatal -> raise (Unhandled ctx)
 
 let step t =
   (match t.on_step with Some f -> f t | None -> ());
   try
-    let ipc = Int64.to_int t.pc in
+    let pc = pc t in
+    let ipc = Int64.to_int pc in
     (* The int tag must represent the 64-bit PC faithfully: [Int64.to_int]
        alone wraps modulo 2^63, so e.g. 0x8000_0000_0000_1000 and 0x1000
        would share a tag and the cache could serve one PC's decode for the
-       other.  A PC the native int cannot hold bypasses the cache (full
-       fetch path, architecturally identical); such PCs trap on fetch in
-       every real workload anyway. *)
-    let representable = Int64.equal (Int64.of_int ipc) t.pc in
+       other.  A PC the native int cannot hold bypasses the cache and
+       traps in [fetch]. *)
+    let representable = Int64.equal (Int64.of_int ipc) pc in
     let slot = (ipc lsr 2) land decode_mask in
     let insn =
       if representable && Array.unsafe_get t.decode_pc slot = ipc then begin
         (* Decode-cache hit.  Architectural fetch costs still apply. *)
-        check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-        if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
+        check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:ipc ~size:4;
+        if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:ipc);
         Array.unsafe_get t.decode_insn slot
       end
       else begin
@@ -948,8 +1044,8 @@ let step t =
         (* Observability probe: classify + sample over exactly the
            instret population (markers excluded, faulting fetches
            counted — the same convention as instret itself). *)
-        (match t.probe with Some p -> Obs.Probe.note p insn ~pc:t.pc | None -> ()));
-    t.pc <- execute t insn;
+        (match t.probe with Some p -> Obs.Probe.note p insn ~pc:ipc | None -> ()));
+    execute t insn;
     (* Shadow call stack for the profiler's collapsed-stack output: calls
        and returns are reported after execute, when register-indirect
        targets are known.  The minic ABI returns via `jr $ra`. *)
@@ -957,7 +1053,7 @@ let step t =
     | None -> ()
     | Some p -> (
         match insn with
-        | Insn.Jal _ | Insn.Jalr _ | Insn.CJALR _ -> Obs.Probe.enter_frame p ~callee:t.pc
+        | Insn.Jal _ | Insn.Jalr _ | Insn.CJALR _ -> Obs.Probe.enter_frame p ~callee:(pc_int t)
         | Insn.Jr s when s = Regs.ra -> Obs.Probe.exit_frame p
         | _ -> ())
   with Exn (exc, badv) -> dispatch_exn t exc badv
@@ -1040,8 +1136,7 @@ let exec_block t code n =
      with exactly the cause — the plain engine would report. *)
   let pcc_ok =
     match
-      Cap.Capability.check_access t.pcc Cap.Capability.Execute ~addr:t.pc
-        ~size:(Int64.of_int (n * 4))
+      Cap.Capability.check_access_int t.pcc Cap.Capability.Execute ~addr:(pc_int t) ~size:(n * 4)
     with
     | Ok () -> true
     | Error _ -> false
@@ -1051,12 +1146,12 @@ let exec_block t code n =
        (* Unhooked fast path: the common case for full-size runs. *)
        while !i < n do
          let insn = Array.unsafe_get code !i in
-         if not pcc_ok then
-           check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-         if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
+         let addr = pc_int t in
+         if not pcc_ok then check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr ~size:4;
+         if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr);
          t.instret <- t.instret + 1;
          charge t 1;
-         t.pc <- execute t insn;
+         execute t insn;
          incr i
        done
      else
@@ -1065,13 +1160,13 @@ let exec_block t code n =
        while !i < n do
          (match t.on_step with Some f -> f t | None -> ());
          let insn = Array.unsafe_get code !i in
-         if not pcc_ok then
-           check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-         if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
+         let addr = pc_int t in
+         if not pcc_ok then check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr ~size:4;
+         if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr);
          t.instret <- t.instret + 1;
          charge t 1;
-         (match t.probe with Some p -> Obs.Probe.note p insn ~pc:t.pc | None -> ());
-         t.pc <- execute t insn;
+         (match t.probe with Some p -> Obs.Probe.note p insn ~pc:addr | None -> ());
+         execute t insn;
          incr i
        done
    with Exn (exc, badv) -> dispatch_exn t exc badv);
@@ -1084,8 +1179,9 @@ let exec_block t code n =
    with its budget and watchdog sampling points, keeping both engines'
    outcomes identical instruction for instruction. *)
 let sb_step t ~fuel =
-  let ipc = Int64.to_int t.pc in
-  if fuel <= 0 || not (Int64.equal (Int64.of_int ipc) t.pc) then step t
+  let pc = pc t in
+  let ipc = Int64.to_int pc in
+  if fuel <= 0 || not (Int64.equal (Int64.of_int ipc) pc) then step t
   else begin
     let slot = (ipc lsr 2) land sb_mask in
     let code =
@@ -1108,12 +1204,12 @@ let state_digest t =
     let h = Int64.mul (Int64.logxor h v) 0xFF51_AFD7_ED55_8CCDL in
     Int64.logxor h (Int64.shift_right_logical h 33)
   in
-  let h = ref (mix 0x9E37_79B9_7F4A_7C15L t.pc) in
+  let h = ref (mix 0x9E37_79B9_7F4A_7C15L (pc t)) in
   for i = 1 to 31 do
-    h := mix !h t.regs.Regs.r.(i)
+    h := mix !h (reg t i)
   done;
-  h := mix !h t.regs.Regs.hi;
-  h := mix !h t.regs.Regs.lo;
+  h := mix !h (hi t);
+  h := mix !h (lo t);
   let mix_cap c =
     h := mix !h (Cap.Capability.base c);
     h := mix !h (Cap.Capability.length c);
@@ -1176,7 +1272,7 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
            let d = state_digest t in
            let repeat = ref false in
            for i = 0 to !hist_len - 1 do
-             if Int64.equal hist_pc.(i) t.pc && Int64.equal hist_digest.(i) d then
+             if Int64.equal hist_pc.(i) (pc t) && Int64.equal hist_digest.(i) d then
                repeat := true
            done;
            if !repeat then
@@ -1185,7 +1281,7 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
                  (Watchdog_hang
                     (snapshot ~cause:"watchdog: architectural state repeated" t))
            else begin
-             hist_pc.(!hist_next) <- t.pc;
+             hist_pc.(!hist_next) <- pc t;
              hist_digest.(!hist_next) <- d;
              hist_next := (!hist_next + 1) mod watchdog_ring;
              if !hist_len < watchdog_ring then incr hist_len
@@ -1204,7 +1300,7 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
       let ctx =
         {
           exc = (match t.cp0.Cp0.last_exc with Some exc -> exc | None -> Cp0.Trap);
-          victim_pc = t.pc;
+          victim_pc = pc t;
         }
       in
       outcome :=
@@ -1267,10 +1363,9 @@ let read_counters t =
    deliberately not part of the checkpoint; they are configuration, not
    architectural state. *)
 type checkpoint = {
-  ck_regs : Regs.t;
+  ck_regs : Regs.t; (* the PC included *)
   ck_caps : Cap.Capability.t array;
   ck_pcc : Cap.Capability.t;
-  ck_pc : int64;
   ck_mode : Cp0.mode;
   ck_exl : bool;
   ck_epc : int64;
@@ -1285,7 +1380,7 @@ type checkpoint = {
   ck_cycles : int;
   ck_instret : int;
   ck_ll_bit : bool;
-  ck_ll_addr : int64;
+  ck_ll_addr : int;
   ck_stores : int;
   ck_kernel_entries : int;
 }
@@ -1295,7 +1390,6 @@ let checkpoint t =
     ck_regs = Regs.copy t.regs;
     ck_caps = Array.copy t.caps;
     ck_pcc = t.pcc;
-    ck_pc = t.pc;
     ck_mode = t.cp0.Cp0.mode;
     ck_exl = t.cp0.Cp0.exl;
     ck_epc = t.cp0.Cp0.epc;
@@ -1333,7 +1427,6 @@ let restore t (c : checkpoint) =
   Regs.load t.regs c.ck_regs;
   Array.blit c.ck_caps 0 t.caps 0 32;
   t.pcc <- c.ck_pcc;
-  t.pc <- c.ck_pc;
   t.cp0.Cp0.mode <- c.ck_mode;
   t.cp0.Cp0.exl <- c.ck_exl;
   t.cp0.Cp0.epc <- c.ck_epc;

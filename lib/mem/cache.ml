@@ -101,15 +101,17 @@ let access_line_slow t ~line ~write =
   let set = t.data.(line land (t.sets - 1)) in
   let tag = line lsr t.set_bits in
   let n = t.assoc in
-  let rec find i =
-    if i >= n then -1
-    else
-      let l = Array.unsafe_get set i in
-      if l.valid && l.tag = tag then i else find (i + 1)
-  in
-  let way = find 0 in
-  if way >= 0 then begin
-    let l = Array.unsafe_get set way in
+  (* Way search and victim pick are plain loops: a local recursive
+     function would capture [set] and [tag] and allocate its closure on
+     every call. *)
+  let way = ref (-1) and i = ref 0 in
+  while !way < 0 && !i < n do
+    let l = Array.unsafe_get set !i in
+    if l.valid && l.tag = tag then way := !i;
+    incr i
+  done;
+  if !way >= 0 then begin
+    let l = Array.unsafe_get set !way in
     t.hits <- t.hits + 1;
     l.lru <- t.tick;
     if write then l.dirty <- true;
@@ -121,15 +123,13 @@ let access_line_slow t ~line ~write =
     t.misses <- t.misses + 1;
     (* Prefer the first invalid way; otherwise evict the least recently
        used (earliest way wins ties, matching the reference fold). *)
-    let rec pick i best =
-      if i >= n then best
-      else
-        let l = Array.unsafe_get set i in
-        if not l.valid then l
-        else pick (i + 1) (if l.lru < best.lru then l else best)
-    in
-    let w0 = Array.unsafe_get set 0 in
-    let v = if not w0.valid then w0 else pick 1 w0 in
+    let v = ref (Array.unsafe_get set 0) and i = ref 1 in
+    while !v.valid && !i < n do
+      let l = Array.unsafe_get set !i in
+      if (not l.valid) || l.lru < !v.lru then v := l;
+      incr i
+    done;
+    let v = !v in
     let writeback = v.valid && v.dirty in
     if writeback then t.writebacks <- t.writebacks + 1;
     v.valid <- true;
@@ -160,17 +160,6 @@ let access_line t ~line ~write =
 
 (* [access t ~addr ~write] touches the line containing [addr]. *)
 let access t ~addr ~write = access_line t ~line:(line_index t addr) ~write
-
-(* Lines touched by a [size]-byte access at [addr].  Kept for external
-   consumers; the hierarchy's hot path iterates line indices directly
-   instead of building this list. *)
-let lines_spanned t ~addr ~size =
-  let first = line_index t addr in
-  let last = line_index t (Int64.add addr (Int64.of_int (max 1 size - 1))) in
-  let rec go acc l =
-    if l < first then acc else go (Int64.of_int (l lsl t.line_bits) :: acc) (l - 1)
-  in
-  go [] last
 
 let reset_stats t =
   t.hits <- 0;

@@ -53,11 +53,6 @@ val access : t -> addr:int64 -> write:bool -> outcome
     {!access} for callers that already hold a line index. *)
 val access_line : t -> line:int -> write:bool -> outcome
 
-(** Line-aligned addresses of every line a [size]-byte access at [addr]
-    touches.  (The memory hierarchy's hot path iterates line indices
-    directly instead; this remains for external consumers.) *)
-val lines_spanned : t -> addr:int64 -> size:int -> int64 list
-
 val reset_stats : t -> unit
 
 (** Invalidate every line (drops dirty data — a model-level reset). *)

@@ -56,7 +56,7 @@ type t = {
   mutable load_bytes : int;
   mutable store_bytes : int;
   mutable tag_dram_accesses : int;
-  mutable on_event : (Obs.Attrib.event -> addr:int64 -> unit) option;
+  mutable on_event : (Obs.Attrib.event -> addr:int -> unit) option;
       (* the widened observability probe: every miss, DRAM transfer, and
          data access is reported with its address.  [None] (the default)
          costs one pattern match per event site — the event value itself
@@ -110,7 +110,7 @@ let tag_lookup t ~line ~write =
       (match t.on_event with
       | None -> ()
       | Some f ->
-          let addr = Int64.of_int (line lsl t.line_bits) in
+          let addr = line lsl t.line_bits in
           f Obs.Attrib.Tag_miss ~addr;
           f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
       if writeback then begin
@@ -119,7 +119,7 @@ let tag_lookup t ~line ~write =
         | None -> ()
         | Some f ->
             f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(Int64.of_int (line lsl t.line_bits))
+              ~addr:(line lsl t.line_bits)
       end;
       (* Fetched in parallel with the DRAM line fill; charge a single cycle. *)
       1
@@ -134,7 +134,7 @@ let l2_access t ~line ~write =
       (match t.on_event with
       | None -> ()
       | Some f ->
-          let addr = Int64.of_int (line lsl t.line_bits) in
+          let addr = line lsl t.line_bits in
           f Obs.Attrib.L2_miss ~addr;
           f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
       if writeback then begin
@@ -143,7 +143,7 @@ let l2_access t ~line ~write =
         | None -> ()
         | Some f ->
             f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(Int64.of_int (line lsl t.line_bits))
+              ~addr:(line lsl t.line_bits)
       end;
       1
 
@@ -156,7 +156,7 @@ let line_access t ~l1 ~l1_ev ~line ~write =
       let cost = ref t.config.l2_hit_cycles in
       (match t.on_event with
       | None -> ()
-      | Some f -> f l1_ev ~addr:(Int64.of_int (line lsl t.line_bits)));
+      | Some f -> f l1_ev ~addr:(line lsl t.line_bits));
       if l1_wb then ignore (l2_access t ~line ~write:true);
       (match Cache.access_line t.l2 ~line ~write:false with
       | Cache.Hit -> ()
@@ -166,7 +166,7 @@ let line_access t ~l1 ~l1_ev ~line ~write =
           (match t.on_event with
           | None -> ()
           | Some f ->
-              let addr = Int64.of_int (line lsl t.line_bits) in
+              let addr = line lsl t.line_bits in
               f Obs.Attrib.L2_miss ~addr;
               f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
           if writeback then begin
@@ -175,7 +175,7 @@ let line_access t ~l1 ~l1_ev ~line ~write =
             | None -> ()
             | Some f ->
                 f (Obs.Attrib.Dram_write t.config.line_bytes)
-                  ~addr:(Int64.of_int (line lsl t.line_bits)))
+                  ~addr:(line lsl t.line_bits))
           end;
           cost := !cost + tag_lookup t ~line ~write);
       !cost
@@ -230,7 +230,10 @@ let l1_fast_hit l1 line write =
   else false
 
 (* A data access of [size] bytes at [addr]; returns the cycle penalty beyond
-   the single-cycle pipeline occupancy. *)
+   the single-cycle pipeline occupancy.  Addresses are native ints here
+   and in [access_insn]: the machine traps any address that does not fit
+   one before it reaches the memory model, so an [int64] is never boxed
+   to cross into this module. *)
 let access_data t ~addr ~size ~write =
   if write then begin
     t.stores <- t.stores + 1;
@@ -243,11 +246,10 @@ let access_data t ~addr ~size ~write =
   (match t.on_event with
   | None -> ()
   | Some f -> f (if write then Obs.Attrib.Store size else Obs.Attrib.Load size) ~addr);
-  let iaddr = Int64.to_int addr in
-  let first = iaddr lsr t.line_bits in
-  let last = (iaddr + max 1 size - 1) lsr t.line_bits in
+  let first = addr lsr t.line_bits in
+  let last = (addr + max 1 size - 1) lsr t.line_bits in
   let tlb_cost =
-    if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0
+    if tlb_fast_hit t.tlb (addr lsr Tlb.page_bits) then 0
     else if Tlb.touch t.tlb addr then 0
     else begin
       fire t Obs.Attrib.Tlb_miss ~addr;
@@ -268,10 +270,9 @@ let access_data t ~addr ~size ~write =
   end
 
 let access_insn t ~addr =
-  let iaddr = Int64.to_int addr in
-  let line = iaddr lsr t.line_bits in
+  let line = addr lsr t.line_bits in
   let tlb_cost =
-    if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0
+    if tlb_fast_hit t.tlb (addr lsr Tlb.page_bits) then 0
     else if Tlb.touch t.tlb addr then 0
     else begin
       fire t Obs.Attrib.Tlb_miss ~addr;

@@ -38,11 +38,15 @@ let create ~size_bytes =
 
 let size t = t.size
 
+(* Byte index of a [size]-byte access at an address that fits a native
+   int; the full-width accessors below first reject any address that does
+   not (it is outside memory whatever its low bits). *)
 let index t addr size =
+  if addr < 0 || addr > t.size - size then raise (Bus_error (Int64.of_int addr)) else addr
+
+let index64 t addr size =
   let i = Int64.to_int addr in
-  if i < 0 || i + size > t.size || Int64.compare addr (Int64.of_int t.size) >= 0
-  then raise (Bus_error addr)
-  else i
+  if Int64.equal (Int64.of_int i) addr then index t i size else raise (Bus_error addr)
 
 (* Mark the page(s) covered by a write of [len] bytes at byte index [i].
    Scalars are at most 8 bytes so they span at most two pages; the
@@ -58,50 +62,52 @@ let mark_range t i len =
       Bytes.unsafe_set t.dirty p '\001'
     done
 
-let read_u8 t addr = Char.code (Bytes.get t.data (index t addr 1))
+let read_u8 t addr = Char.code (Bytes.get t.data (index64 t addr 1))
 
 let write_u8 t addr v =
-  let i = index t addr 1 in
+  let i = index64 t addr 1 in
   mark t i 1;
   Bytes.set t.data i (Char.chr (v land 0xFF))
 
-let read_u16 t addr = Bytes.get_uint16_le t.data (index t addr 2)
+let read_u16 t addr = Bytes.get_uint16_le t.data (index64 t addr 2)
 
 let write_u16 t addr v =
-  let i = index t addr 2 in
+  let i = index64 t addr 2 in
   mark t i 2;
   Bytes.set_uint16_le t.data i (v land 0xFFFF)
 
-let read_u32 t addr = Int32.to_int (Bytes.get_int32_le t.data (index t addr 4)) land 0xFFFF_FFFF
+let read_u32 t addr = Int32.to_int (Bytes.get_int32_le t.data (index64 t addr 4)) land 0xFFFF_FFFF
 
 let write_u32 t addr v =
-  let i = index t addr 4 in
+  let i = index64 t addr 4 in
   mark t i 4;
   Bytes.set_int32_le t.data i (Int32.of_int v)
 
-let read_u64 t addr = Bytes.get_int64_le t.data (index t addr 8)
+let read_u64 t addr = Bytes.get_int64_le t.data (index64 t addr 8)
 
 let write_u64 t addr v =
-  let i = index t addr 8 in
+  let i = index64 t addr 8 in
   mark t i 8;
   Bytes.set_int64_le t.data i v
 
-(* Multi-word image access (capability loads/stores): one bounds check
-   for the whole [len]-byte image, then per-word reads/writes at byte
-   indices — no intermediate buffer. *)
-let image_index t addr len = index t addr len
-let get_u64 t i = Bytes.get_int64_le t.data i
+(* The unboxed access path: the machine bounds-checks a native-int
+   address once ([index], or [write_index], which also marks the page
+   dirty) and then reads or writes [data] at the returned byte index with
+   the Stdlib's little-endian accessors, so no [int64] crosses a module
+   boundary. *)
+let data t = t.data
 
-let set_u64 t i v =
-  mark t i 8;
-  Bytes.set_int64_le t.data i v
+let write_index t addr size =
+  let i = index t addr size in
+  mark t i size;
+  i
 
 let read_bytes t addr len =
-  let i = index t addr len in
+  let i = index64 t addr len in
   Bytes.sub t.data i len
 
 let write_bytes t addr b =
-  let i = index t addr (Bytes.length b) in
+  let i = index64 t addr (Bytes.length b) in
   mark_range t i (Bytes.length b);
   Bytes.blit b 0 t.data i (Bytes.length b)
 

@@ -18,14 +18,22 @@ val write_u32 : t -> int64 -> int -> unit
 val read_u64 : t -> int64 -> int64
 val write_u64 : t -> int64 -> int64 -> unit
 
-(** One bounds check for a [len]-byte image at [addr]; the returned byte
-    index feeds {!get_u64}/{!set_u64} at word offsets within the image.
-    @raise Bus_error when the image overruns the populated range. *)
-val image_index : t -> int64 -> int -> int
+(** {1 Unboxed access}
 
-val get_u64 : t -> int -> int64
+    The machine's per-instruction path: one bounds check on an address
+    that fits a native int, then direct little-endian reads and writes of
+    {!data} at the returned byte index, so no [int64] is boxed. *)
 
-val set_u64 : t -> int -> int64 -> unit
+(** The backing image.  Writers must obtain their index from
+    {!write_index}, which keeps dirty-page tracking exact. *)
+val data : t -> Bytes.t
+
+(** Byte index of a [size]-byte access at [addr].
+    @raise Bus_error when the access leaves the populated range. *)
+val index : t -> int -> int -> int
+
+(** {!index}, and marks the written page(s) dirty. *)
+val write_index : t -> int -> int -> int
 
 val read_bytes : t -> int64 -> int -> bytes
 val write_bytes : t -> int64 -> bytes -> unit

@@ -16,7 +16,7 @@ type t = {
   bits : Bytes.t;
   mem_size : int;
   line_bytes : int;
-  mutable on_write : (set:bool -> addr:int64 -> unit) option;
+  mutable on_write : (set:bool -> addr:int -> unit) option;
       (* observability hook: every architectural tag write (capability
          store sets or clears; general-purpose store clears) is reported
          with the data address.  [None] (the default) costs one pattern
@@ -35,7 +35,8 @@ let create ?(line_bytes = line_bytes) ~mem_size () =
     on_write = None;
   }
 
-let line_index t addr = Int64.to_int (Int64.div addr (Int64.of_int t.line_bytes))
+(* Physical addresses fit a native int; tag lines are indexed by it. *)
+let line_index t addr = addr / t.line_bytes
 let granularity t = t.line_bytes
 
 let get t addr =
@@ -60,7 +61,7 @@ let set t addr v =
    architectural tag writes, not bit flips. *)
 let clear_range t addr size =
   let first = line_index t addr in
-  let last = line_index t (Int64.add addr (Int64.of_int (size - 1))) in
+  let last = line_index t (addr + size - 1) in
   for i = first to last do
     set_bit t i false
   done;

@@ -20,22 +20,23 @@ val create : ?line_bytes:int -> mem_size:int -> unit -> t
     the data address on every architectural tag write — [set = true] for
     a tagged capability store, [false] for any clearing store.  Purely an
     observer; the default [None] costs one pattern match per write. *)
-val set_on_write : t -> (set:bool -> addr:int64 -> unit) option -> unit
+val set_on_write : t -> (set:bool -> addr:int -> unit) option -> unit
 
-(** Index of the tag line covering a physical address. *)
-val line_index : t -> int64 -> int
+(** Index of the tag line covering a physical address.  Addresses are
+    native ints throughout: physical memory never reaches past 2{^62}. *)
+val line_index : t -> int -> int
 
 (** The table's own line granularity in bytes (32 or 16). *)
 val granularity : t -> int
 
 (** Tag of the line containing the address. *)
-val get : t -> int64 -> bool
+val get : t -> int -> bool
 
-val set : t -> int64 -> bool -> unit
+val set : t -> int -> bool -> unit
 
 (** Clear the tags of every line overlapped by a [size]-byte store at the
     address: the effect of a general-purpose store. *)
-val clear_range : t -> int64 -> int -> unit
+val clear_range : t -> int -> int -> unit
 
 (** Number of tagged lines (used by sweeps and tests). *)
 val count_set : t -> int

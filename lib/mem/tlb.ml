@@ -108,7 +108,7 @@ let map t ~vaddr ~len prot =
   invalidate_prot_memo t
 
 let protection t vaddr =
-  let p = vpn vaddr in
+  let p = vaddr lsr page_bits in
   let i = p land (prot_memo_slots - 1) in
   if Array.unsafe_get t.prot_vpn i = p then Array.unsafe_get t.prot_val i
   else begin
@@ -123,7 +123,7 @@ let protection t vaddr =
    the timing model charges for). *)
 let touch t vaddr =
   t.tick <- t.tick + 1;
-  let p = vpn vaddr in
+  let p = vaddr lsr page_bits in
   if p = t.last_vpn then begin
     (* Same page as the previous translation: resident by construction. *)
     t.hits <- t.hits + 1;

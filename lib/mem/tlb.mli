@@ -57,12 +57,13 @@ val map : t -> vaddr:int64 -> len:int -> prot -> unit
 val unmap : t -> vaddr:int64 -> len:int -> unit
 
 (** Protections of the page containing the address ({!prot_none} when
-    unmapped). *)
-val protection : t -> int64 -> prot
+    unmapped).  The lookups take the address as a native int: the
+    machine only translates addresses that fit one. *)
+val protection : t -> int -> prot
 
 (** Touch the TLB for a translation; [false] = miss (LRU refill
     modelled). *)
-val touch : t -> int64 -> bool
+val touch : t -> int -> bool
 
 val flush : t -> unit
 val reset_stats : t -> unit

@@ -70,14 +70,17 @@ let class_index name =
 
 type t = {
   granule_bits : int; (* region size = 2^granule_bits bytes *)
-  by_pc : (int64, int array) Hashtbl.t;
-  by_region : (int64, int array) Hashtbl.t; (* key = addr lsr granule_bits *)
+  (* Keys are native ints: PCs and addresses reach the memory model only
+     when they fit one, so recording an event boxes nothing.  The
+     read-side views below widen them back to [int64]. *)
+  by_pc : (int, int array) Hashtbl.t;
+  by_region : (int, int array) Hashtbl.t; (* key = addr lsr granule_bits *)
   totals : int array;
   load_size : Hist.t;
   store_size : Hist.t;
   reuse : Hist.t; (* L1D miss-reuse distance, in intervening misses *)
   cap_len : Hist.t; (* bounds length of capabilities moved to/from memory *)
-  last_miss : (int64, int) Hashtbl.t; (* D-line -> ordinal of its last miss *)
+  last_miss : (int, int) Hashtbl.t; (* D-line -> ordinal of its last miss *)
   mutable miss_seq : int;
   mutable labels : (int64 * int64 * string) list;
       (* (base, length, label) address-range annotations: compartment
@@ -133,7 +136,7 @@ let cell tbl key =
 let bump t ~pc ~addr cls amount =
   let pc_cell = cell t.by_pc pc in
   pc_cell.(cls) <- pc_cell.(cls) + amount;
-  let region_cell = cell t.by_region (Int64.shift_right_logical addr t.granule_bits) in
+  let region_cell = cell t.by_region (addr lsr t.granule_bits) in
   region_cell.(cls) <- region_cell.(cls) + amount;
   t.totals.(cls) <- t.totals.(cls) + amount
 
@@ -141,7 +144,7 @@ let bump t ~pc ~addr cls amount =
    this line last missed (32-byte line granularity, the hierarchy
    default).  First-touch misses are not observations. *)
 let note_reuse t addr =
-  let line = Int64.shift_right_logical addr 5 in
+  let line = addr lsr 5 in
   (match Hashtbl.find_opt t.last_miss line with
   | Some prev -> Hist.observe_int t.reuse (t.miss_seq - prev - 1)
   | None -> ());
@@ -178,7 +181,7 @@ let region_total t cls = table_total t.by_region cls
 (* All rows of a table sorted by the [by] class descending (key ascending
    as the deterministic tie-break), truncated to [n] when given. *)
 let top tbl ~by ?n () =
-  let rows = Hashtbl.fold (fun k (c : int array) acc -> (k, c) :: acc) tbl [] in
+  let rows = Hashtbl.fold (fun k (c : int array) acc -> (Int64.of_int k, c) :: acc) tbl [] in
   let rows =
     List.sort
       (fun (k1, c1) (k2, c2) ->

@@ -12,20 +12,22 @@
 
 open Beri
 
+(* Counters are native ints, widened to [int64] only in [fill], so a
+   probed step boxes nothing. *)
 type t = {
-  mutable cap_ops : int64; (* all CP2 instructions *)
-  mutable cap_loads : int64; (* loads via a capability (CLC, CL[BHWD], CLLD) *)
-  mutable cap_stores : int64; (* stores via a capability (CSC, CS[BHWD], CSCD) *)
-  mutable branches : int64; (* control-flow instructions of any kind *)
+  mutable cap_ops : int; (* all CP2 instructions *)
+  mutable cap_loads : int; (* loads via a capability (CLC, CL[BHWD], CLLD) *)
+  mutable cap_stores : int; (* stores via a capability (CSC, CS[BHWD], CSCD) *)
+  mutable branches : int; (* control-flow instructions of any kind *)
   profile : Profile.t option;
   attrib : Attrib.t option;
       (* per-PC / per-region miss attribution; when present the machine
          additionally routes memory-hierarchy and tag-table events here *)
-  mutable sampled : int64; (* profiler samples taken (mirrors Profile.total) *)
+  mutable sampled : int; (* profiler samples taken (mirrors Profile.total) *)
 }
 
 let create ?profile ?attrib () =
-  { cap_ops = 0L; cap_loads = 0L; cap_stores = 0L; branches = 0L; profile; attrib; sampled = 0L }
+  { cap_ops = 0; cap_loads = 0; cap_stores = 0; branches = 0; profile; attrib; sampled = 0 }
 
 let attrib t = t.attrib
 
@@ -50,18 +52,19 @@ let is_branch = function
       true
   | _ -> false
 
-(* Classify and sample one retired instruction at [pc].  Called by the
-   machine in the same place [instret] is bumped, so the sample stream
-   and the instruction counters describe exactly the same population. *)
+(* Classify and sample one retired instruction at [pc] (a native int:
+   the machine only retires PCs that fit one).  Called by the machine in
+   the same place [instret] is bumped, so the sample stream and the
+   instruction counters describe exactly the same population. *)
 let note t insn ~pc =
-  if is_cap_op insn then t.cap_ops <- Int64.add t.cap_ops 1L;
+  if is_cap_op insn then t.cap_ops <- t.cap_ops + 1;
   (match insn with
-  | Insn.CLC _ | Insn.CLoad _ | Insn.CLLD _ -> t.cap_loads <- Int64.add t.cap_loads 1L
-  | Insn.CSC _ | Insn.CStore _ | Insn.CSCD _ -> t.cap_stores <- Int64.add t.cap_stores 1L
+  | Insn.CLC _ | Insn.CLoad _ | Insn.CLLD _ -> t.cap_loads <- t.cap_loads + 1
+  | Insn.CSC _ | Insn.CStore _ | Insn.CSCD _ -> t.cap_stores <- t.cap_stores + 1
   | _ -> ());
-  if is_branch insn then t.branches <- Int64.add t.branches 1L;
+  if is_branch insn then t.branches <- t.branches + 1;
   match t.profile with
-  | Some p -> if Profile.step p pc then t.sampled <- Int64.add t.sampled 1L
+  | Some p -> if Profile.step p pc then t.sampled <- t.sampled + 1
   | None -> ()
 
 (* Call-graph tracking for collapsed stacks: the machine reports the
@@ -74,8 +77,8 @@ let exit_frame t = match t.profile with Some p -> Profile.ret p | None -> ()
 
 (* Deposit the probe-owned counters into a counter file snapshot. *)
 let fill t (c : Counters.t) =
-  Counters.set c Counters.cap_ops t.cap_ops;
-  Counters.set c Counters.cap_loads t.cap_loads;
-  Counters.set c Counters.cap_stores t.cap_stores;
-  Counters.set c Counters.branches t.branches;
-  Counters.set c Counters.samples t.sampled
+  Counters.set_int c Counters.cap_ops t.cap_ops;
+  Counters.set_int c Counters.cap_loads t.cap_loads;
+  Counters.set_int c Counters.cap_stores t.cap_stores;
+  Counters.set_int c Counters.branches t.branches;
+  Counters.set_int c Counters.samples t.sampled

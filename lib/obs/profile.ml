@@ -12,9 +12,11 @@
 type t = {
   period : int;
   mutable countdown : int;
-  hist : (int64, int ref) Hashtbl.t; (* pc -> samples *)
-  stacks : (int64 list, int ref) Hashtbl.t; (* root-first callee-entry chain -> samples *)
-  mutable stack : int64 list; (* innermost first; entries are callee entry PCs *)
+  (* PCs are native ints (the machine only retires PCs that fit one), so
+     a step boxes nothing; [top] and [collapsed] widen them to [int64]. *)
+  hist : (int, int ref) Hashtbl.t; (* pc -> samples *)
+  stacks : (int list, int ref) Hashtbl.t; (* root-first callee-entry chain -> samples *)
+  mutable stack : int list; (* innermost first; entries are callee entry PCs *)
   mutable depth : int;
   mutable total : int;
 }
@@ -72,7 +74,7 @@ let total_samples t = t.total
 (* Hottest PCs, by sample count then PC (the tie-break keeps reports
    deterministic). *)
 let top t ~n =
-  Hashtbl.fold (fun pc r acc -> (pc, !r) :: acc) t.hist []
+  Hashtbl.fold (fun pc r acc -> (Int64.of_int pc, !r) :: acc) t.hist []
   |> List.sort (fun (pc1, n1) (pc2, n2) ->
          match compare n2 n1 with 0 -> Int64.compare pc1 pc2 | c -> c)
   |> List.filteri (fun i _ -> i < n)
@@ -84,7 +86,7 @@ let top t ~n =
 let collapsed ?(resolve = fun pc -> Printf.sprintf "0x%Lx" pc) t =
   Hashtbl.fold
     (fun frames r acc ->
-      let names = "all" :: List.map resolve frames in
+      let names = "all" :: List.map (fun pc -> resolve (Int64.of_int pc)) frames in
       (String.concat ";" names ^ " " ^ string_of_int !r) :: acc)
     t.stacks []
   |> List.sort compare

@@ -1,0 +1,148 @@
+(* Exact allocation gates for the simulator's per-instruction path.
+
+   [Gc.minor_words] counts the words this domain allocates, and the
+   machine is deterministic, so these figures repeat exactly: a gate of
+   zero is a gate of zero, not a tolerance band.  They pin down the
+   unboxed datapath — register file and PC in raw 64-bit slots, native-int
+   memory keys, loop-based cache way search — so a change that boxes an
+   [int64] or builds a closure per instruction fails here rather than as
+   a drift in the benchmark's words-per-instruction figure. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let n = 10_000
+
+(* A warm loop mixing the instruction classes a retired instruction
+   exercises: ALU, legacy and capability-relative loads and stores of
+   every width, a call and a return, and a taken branch. *)
+let hot_loop =
+  {|
+main:
+  la $t0, buf
+  cincbase $c1, $c0, $t0
+  li $t1, 0
+loop:
+  ld $t2, 0($t0)
+  daddu $t1, $t1, $t2
+  sd $t1, 8($t0)
+  sw $t1, 16($t0)
+  lbu $t3, 16($t0)
+  lh $t3, 18($t0)
+  csd $t1, $zero, 24($c1)
+  cld $t2, $zero, 24($c1)
+  jal leaf
+  daddiu $t1, $t1, 1
+  b loop
+leaf:
+  xor $t3, $t3, $t1
+  jr $ra
+.data
+.align 5
+buf: .space 64
+|}
+
+let warm_machine () =
+  let m = Machine.create () in
+  let k = Os.Kernel.attach m in
+  Os.Kernel.exec k (Asm.Assembler.assemble hot_loop);
+  for _ = 1 to 1000 do
+    Machine.step m
+  done;
+  m
+
+let test_step_decode_hit () =
+  let m = warm_machine () in
+  let instret = m.Machine.instret and entries = m.Machine.kernel_entries in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          Machine.step m
+        done)
+  in
+  Alcotest.(check int) "every step retired" (instret + n) m.Machine.instret;
+  Alcotest.(check int) "no trap taken" entries m.Machine.kernel_entries;
+  Alcotest.(check (float 0.)) "decode-hit steps allocate nothing" 0. words
+
+let test_sb_step () =
+  let m = warm_machine () in
+  Machine.set_engine m Machine.Superblock;
+  for _ = 1 to 100 do
+    Machine.sb_step m ~fuel:64
+  done;
+  let instret = m.Machine.instret in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          Machine.sb_step m ~fuel:64
+        done)
+  in
+  Alcotest.(check bool) "blocks retired instructions" true (m.Machine.instret - instret > n);
+  Alcotest.(check (float 0.)) "superblock dispatches allocate nothing" 0. words
+
+let test_tlb_fast_hit () =
+  let tlb = Mem.Tlb.create ~entries:256 () in
+  Mem.Tlb.map tlb ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+  ignore (Mem.Tlb.touch tlb 0x1000);
+  ignore (Mem.Tlb.protection tlb 0x1000);
+  let hits = tlb.Mem.Tlb.hits in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          ignore (Mem.Tlb.touch tlb 0x1040);
+          ignore (Mem.Tlb.protection tlb 0x1040)
+        done)
+  in
+  Alcotest.(check int) "every touch hit" (hits + n) tlb.Mem.Tlb.hits;
+  Alcotest.(check (float 0.)) "TLB fast hits allocate nothing" 0. words
+
+(* Two lines of one set, touched alternately: each access misses the
+   one-line MRU front and hits in the way search. *)
+let test_cache_way_search () =
+  let c = Mem.Cache.create ~name:"gate" ~size_bytes:16384 ~line_bytes:32 ~assoc:4 in
+  let a = 0 and b = c.Mem.Cache.sets in
+  ignore (Mem.Cache.access_line c ~line:a ~write:false);
+  ignore (Mem.Cache.access_line c ~line:b ~write:false);
+  let hits = c.Mem.Cache.hits in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          ignore (Mem.Cache.access_line c ~line:a ~write:true);
+          ignore (Mem.Cache.access_line c ~line:b ~write:false)
+        done)
+  in
+  Alcotest.(check int) "every access hit" (hits + (2 * n)) c.Mem.Cache.hits;
+  Alcotest.(check (float 0.)) "way-search hits allocate nothing" 0. words
+
+(* A whole legacy treeadd run, syscalls and all, under both engines. *)
+let test_treeadd_words_per_insn () =
+  let source = Olden.Minic_src.instantiate (List.assoc "treeadd" Olden.Minic_src.all) ~param:10 in
+  let program = Asm.Assembler.assemble (Minic.Driver.compile ~mode:Minic.Layout.Legacy source) in
+  List.iter
+    (fun engine ->
+      let m = Exp.Bench_run.machine_for Minic.Layout.Legacy in
+      Machine.set_engine m engine;
+      let k = Os.Kernel.attach m in
+      Os.Kernel.exec k program;
+      let code = ref (-1) in
+      let words = minor_words (fun () -> code := Machine.run m) in
+      Alcotest.(check int) "treeadd exits cleanly" 0 !code;
+      let per_insn = words /. float_of_int m.Machine.instret in
+      if per_insn > 1.0 then
+        Alcotest.failf "%s engine: %.3f words per retired instruction (gate: <= 1.0)"
+          (Machine.engine_to_string engine) per_insn)
+    [ Machine.Plain; Machine.Superblock ]
+
+let suites =
+  [
+    ( "alloc-gate",
+      [
+        Alcotest.test_case "step, decode-cache hit" `Quick test_step_decode_hit;
+        Alcotest.test_case "sb_step, superblock dispatch" `Quick test_sb_step;
+        Alcotest.test_case "TLB fast hit" `Quick test_tlb_fast_hit;
+        Alcotest.test_case "cache way-search hit" `Quick test_cache_way_search;
+        Alcotest.test_case "legacy treeadd words/insn" `Quick test_treeadd_words_per_insn;
+      ] );
+  ]

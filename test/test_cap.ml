@@ -309,6 +309,36 @@ let prop_in_range_sound =
       U64.in_range ~addr:(i64 addr) ~size:(i64 size) ~base:(i64 base) ~length:(i64 length)
       = expected)
 
+(* The machine's native-int access check must agree with the full-width
+   one on every address and size a native int holds: negative ints are
+   the addresses at the top of the 64-bit space, so bases and addresses
+   are drawn from the whole int range as well as near each other. *)
+let prop_access_int_agrees =
+  let gen =
+    QCheck.Gen.(
+      let* c =
+        oneof
+          [
+            gen_cap;
+            map3
+              (fun p b l -> Capability.make ~perms:p ~base:(Int64.of_int b) ~length:(Int64.of_int l))
+              gen_perms int int;
+          ]
+      in
+      let* addr =
+        oneof [ int; map (fun d -> Int64.to_int (Capability.base c) + d) (int_range (-64) 0x1000000) ]
+      in
+      let* size = int_range 1 32 in
+      let* access =
+        oneofl Capability.[ Load; Store; Execute; Load_cap; Store_cap ]
+      in
+      return (c, addr, size, access))
+  in
+  QCheck.Test.make ~count:2000 ~name:"native-int access check agrees with the 64-bit one"
+    (QCheck.make gen) (fun (c, addr, size, access) ->
+      Capability.check_access_int c access ~addr ~size
+      = Capability.check_access c access ~addr:(Int64.of_int addr) ~size:(Int64.of_int size))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let suites =
@@ -353,5 +383,6 @@ let suites =
         prop_bytes_roundtrip;
         prop_cap128_roundtrip;
         prop_in_range_sound;
+        prop_access_int_agrees;
       ];
   ]

@@ -108,7 +108,7 @@ let test_monitor_flags_forged_tag () =
   Alcotest.(check int) "clean before the flip" 0
     (List.length (Fault.Monitor.check_memory m ~base:heap ~len:32L));
   (* ...then a tag-bit upset forges a "capability" over it. *)
-  Mem.Tags.set m.Machine.tags heap true;
+  Mem.Tags.set m.Machine.tags (Int64.to_int heap) true;
   let violations = Fault.Monitor.check_memory m ~base:heap ~len:32L in
   Alcotest.(check bool) "forged tag is flagged" true (violations <> []);
   Alcotest.(check bool) "includes the tag-integrity oracle" true
@@ -138,7 +138,7 @@ let forge_line m addr =
   (* An invalid capability image (unsealed but otype=1) under a forged
      tag: flags word bit 32 is the otype field's low bit. *)
   Mem.Phys.write_u64 m.Machine.phys addr (Int64.shift_left 1L 32);
-  Mem.Tags.set m.Machine.tags addr true
+  Mem.Tags.set m.Machine.tags (Int64.to_int addr) true
 
 let test_monitor_window_partial_tail () =
   let m = Machine.create () in
@@ -302,7 +302,7 @@ let test_bounds_corruption_cheri_traps () =
   (* Fire once the capability image lands in the spill slot (its line's tag
      is set), then flip bit 6 of the length word: 64 becomes 0. *)
   let upset m =
-    if Mem.Tags.get m.Machine.tags spill then begin
+    if Mem.Tags.get m.Machine.tags (Int64.to_int spill) then begin
       let len_addr = Int64.add spill 24L in
       Mem.Phys.write_u64 m.Machine.phys len_addr
         (Int64.logxor (Mem.Phys.read_u64 m.Machine.phys len_addr) 64L);

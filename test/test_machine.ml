@@ -526,9 +526,10 @@ let test_context_roundtrip () =
   let ctx = Os.Context.save m in
   Machine.set_gpr m 5 0L;
   Machine.set_cap m 7 Cap.Capability.null;
-  m.Machine.pc <- 0xDEADL;
+  Machine.set_pc m 0xDEADL;
   Os.Context.restore m ctx;
   Alcotest.(check int64) "gpr restored" 123L (Machine.gpr m 5);
+  Alcotest.(check int64) "pc restored" 0L (Machine.pc m);
   Alcotest.(check bool) "cap restored" true
     (Cap.Capability.equal (Machine.cap m 7)
        (Cap.Capability.make ~perms:Cap.Perms.load ~base:0x100L ~length:0x10L));
@@ -555,14 +556,14 @@ let test_cache_model () =
 let test_tlb_model () =
   let tlb = Mem.Tlb.create ~entries:2 () in
   Mem.Tlb.map tlb ~vaddr:0L ~len:(4096 * 4) Mem.Tlb.prot_rwx;
-  ignore (Mem.Tlb.touch tlb 0L);
-  ignore (Mem.Tlb.touch tlb 4096L);
-  Alcotest.(check bool) "hit on resident page" true (Mem.Tlb.touch tlb 0L);
-  ignore (Mem.Tlb.touch tlb 8192L);
+  ignore (Mem.Tlb.touch tlb 0);
+  ignore (Mem.Tlb.touch tlb 4096);
+  Alcotest.(check bool) "hit on resident page" true (Mem.Tlb.touch tlb 0);
+  ignore (Mem.Tlb.touch tlb 8192);
   (* Capacity 2: page 4096 was LRU and got evicted. *)
-  Alcotest.(check bool) "miss after eviction" false (Mem.Tlb.touch tlb 4096L);
-  Alcotest.(check bool) "protection lookup" true (Mem.Tlb.protection tlb 0L).Mem.Tlb.valid;
-  Alcotest.(check bool) "unmapped invalid" false (Mem.Tlb.protection tlb 0x100000L).Mem.Tlb.valid
+  Alcotest.(check bool) "miss after eviction" false (Mem.Tlb.touch tlb 4096);
+  Alcotest.(check bool) "protection lookup" true (Mem.Tlb.protection tlb 0).Mem.Tlb.valid;
+  Alcotest.(check bool) "unmapped invalid" false (Mem.Tlb.protection tlb 0x100000).Mem.Tlb.valid
 
 let test_timing_counts () =
   let _, _, m =
@@ -608,7 +609,7 @@ let test_smc_decode_coherence () =
   Mem.Phys.write_u32 m.Machine.phys patcher (Code.encode (Insn.Store (Insn.W, 9, 8, 0)));
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
-    m.Machine.pc <- pc;
+    Machine.set_pc m pc;
     ignore (Machine.run ~max_insns:100L m)
   in
   run_at target;
@@ -655,7 +656,7 @@ let test_smc_superblock_coherence () =
   Mem.Phys.write_u32 m.Machine.phys patcher (Code.encode (Insn.Store (Insn.W, 9, 8, 0)));
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
-    m.Machine.pc <- pc;
+    Machine.set_pc m pc;
     ignore (Machine.run ~max_insns:100L m)
   in
   (* first pass warms the decode cache; the second pins a superblock *)
@@ -803,7 +804,7 @@ let test_checkpoint_smc_coherence () =
   Mem.Phys.write_u32 m.Machine.phys patcher (Code.encode (Insn.Store (Insn.W, 9, 8, 0)));
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
-    m.Machine.pc <- pc;
+    Machine.set_pc m pc;
     ignore (Machine.run ~max_insns:100L m)
   in
   (* two passes pin a superblock over the target before the checkpoint *)
@@ -878,6 +879,118 @@ loop:
   let data_misses = m.Machine.hier.Mem.Hierarchy.l1d.Mem.Cache.misses in
   Alcotest.(check bool) "tag cache miss rate tiny" true (tag_misses * 10 < data_misses)
 
+(* --- addresses outside the native-int range --------------------------------- *)
+
+(* The memory model takes addresses as native ints; a 64-bit address that
+   does not fit one (>= 2^62 as unsigned, short of the top 2^62 of the
+   space) is outside physical memory and unmapped.  It must trap — never
+   alias the page its low 63 bits name — with the capability check made
+   on all 64 bits, and identically under both engines. *)
+
+type trap = {
+  exc : string;
+  capcause : Cap.Cause.t;
+  capreg : int;
+  badvaddr : int64;
+  epc : int64;
+  victim_pc : int64;
+  stores : int;
+  v1 : int64;
+}
+
+(* Run [code] at 0x2000 on a bare machine with the low megabyte mapped,
+   $t0/$t1 preset, and an instruction at 0x1000 (which a wrapped
+   0x8000_0000_0000_1000 would alias) that would set $v1.  Returns the
+   first trap. *)
+let run_wide ?(pcc = Cap.Capability.almighty) ?(c0 = Cap.Capability.almighty) ~t0 ~t1 engine
+    code =
+  let m = Machine.create () in
+  Machine.set_engine m engine;
+  Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+  let trap = ref None in
+  Machine.set_kernel m (fun m ctx ->
+      let cp0 = m.Machine.cp0 in
+      trap :=
+        Some
+          {
+            exc = Cp0.exc_to_string ctx.Machine.exc;
+            capcause = cp0.Cp0.capcause;
+            capreg = cp0.Cp0.capcause_reg;
+            badvaddr = cp0.Cp0.badvaddr;
+            epc = cp0.Cp0.epc;
+            victim_pc = ctx.Machine.victim_pc;
+            stores = m.Machine.stores;
+            v1 = Machine.gpr m 3;
+          };
+      Machine.Halt 0);
+  Mem.Phys.write_u32 m.Machine.phys 0x1000L (Code.encode (Insn.Daddiu (3, 0, 1)));
+  Mem.Phys.write_u32 m.Machine.phys 0x1004L (Code.encode Insn.Break);
+  List.iteri
+    (fun i insn -> Mem.Phys.write_u32 m.Machine.phys (Int64.of_int (0x2000 + (4 * i))) (Code.encode insn))
+    code;
+  Machine.set_cap m 0 c0;
+  m.Machine.pcc <- pcc;
+  Machine.set_gpr m 8 t0;
+  Machine.set_gpr m 9 t1;
+  Machine.set_pc m 0x2000L;
+  ignore (Machine.run ~max_insns:1000L m);
+  match !trap with Some t -> t | None -> Alcotest.fail "no trap"
+
+(* Both engines, checked equal, then against the expected trap. *)
+let check_wide what ?pcc ?c0 ~t0 ~t1 code ~exc ~capcause ~capreg ~badvaddr ~epc =
+  let p = run_wide ?pcc ?c0 ~t0 ~t1 Machine.Plain code in
+  let s = run_wide ?pcc ?c0 ~t0 ~t1 Machine.Superblock code in
+  Alcotest.(check bool) (what ^ ": engines agree") true (p = s);
+  Alcotest.(check string) (what ^ ": exception") (Cp0.exc_to_string exc) s.exc;
+  Alcotest.(check string) (what ^ ": capcause") (Cap.Cause.to_string capcause)
+    (Cap.Cause.to_string s.capcause);
+  Alcotest.(check int) (what ^ ": capcause register") capreg s.capreg;
+  Alcotest.(check int64) (what ^ ": badvaddr") badvaddr s.badvaddr;
+  Alcotest.(check int64) (what ^ ": epc") epc s.epc;
+  Alcotest.(check int64) (what ^ ": victim pc") epc s.victim_pc;
+  s
+
+let wide_pc = 0x8000_0000_0000_1000L
+
+let test_wide_jump () =
+  let t =
+    check_wide "jr, almighty PCC" ~t0:wide_pc ~t1:0L [ Insn.Jr 8 ] ~exc:Cp0.Tlb_load
+      ~capcause:Cap.Cause.None_ ~capreg:0 ~badvaddr:wide_pc ~epc:wide_pc
+  in
+  Alcotest.(check int64) "the aliased page never executed" 0L t.v1;
+  let pcc = Cap.Capability.make ~perms:Cap.Perms.all ~base:0L ~length:0x10_0000L in
+  ignore
+    (check_wide "jr, bounded PCC" ~pcc ~t0:wide_pc ~t1:0L [ Insn.Jr 8 ]
+       ~exc:(Cp0.Cp2 Cap.Cause.Length_violation) ~capcause:Cap.Cause.Length_violation
+       ~capreg:0xFF ~badvaddr:wide_pc ~epc:wide_pc)
+
+(* A loop whose base register steps by [t1]: the first pass accesses
+   [t0], the second the wide address [t0 + t1] — from inside a pinned
+   superblock under the superblock engine. *)
+let stepping access = [ access; Insn.Daddu (8, 8, 9); Insn.Beq (0, 0, -3) ]
+
+let test_wide_data () =
+  let ld = stepping (Insn.Load (Insn.D, false, 3, 8, 0)) in
+  let sd = stepping (Insn.Store (Insn.D, 3, 8, 0)) in
+  ignore
+    (check_wide "ld at 2^62 + 0x1000" ~t0:0x1000L ~t1:0x4000_0000_0000_0000L ld
+       ~exc:Cp0.Tlb_load ~capcause:Cap.Cause.None_ ~capreg:0
+       ~badvaddr:0x4000_0000_0000_1000L ~epc:0x2000L);
+  let t =
+    check_wide "sd at 2^63 + 0x3000" ~t0:0x3000L ~t1:Int64.min_int sd ~exc:Cp0.Tlb_store
+      ~capcause:Cap.Cause.None_ ~capreg:0 ~badvaddr:0x8000_0000_0000_3000L ~epc:0x2000L
+  in
+  Alcotest.(check int) "only the in-range store retired" 1 t.stores;
+  ignore
+    (check_wide "misaligned ld at 2^62 + 0x1001" ~t0:0x1000L ~t1:0x4000_0000_0000_0001L ld
+       ~exc:Cp0.Address_error_load ~capcause:Cap.Cause.None_ ~capreg:0
+       ~badvaddr:0x4000_0000_0000_1001L ~epc:0x2000L);
+  let c0 = Cap.Capability.make ~perms:Cap.Perms.all ~base:0L ~length:0x10_0000L in
+  ignore
+    (check_wide "ld at 2^62 + 0x1000, bounded C0" ~c0 ~t0:0x1000L ~t1:0x4000_0000_0000_0000L ld
+       ~exc:(Cp0.Cp2 Cap.Cause.Length_violation) ~capcause:Cap.Cause.Length_violation
+       ~capreg:0 ~badvaddr:0x4000_0000_0000_1000L ~epc:0x2000L)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let suites =
@@ -924,6 +1037,11 @@ let suites =
         Alcotest.test_case "tag controller traffic" `Quick test_tag_controller_traffic;
         Alcotest.test_case "checkpoint/restore round-trip" `Quick test_checkpoint_restore_roundtrip;
         Alcotest.test_case "checkpoint SMC coherence" `Quick test_checkpoint_smc_coherence;
+      ] );
+    ( "wide-addresses",
+      [
+        Alcotest.test_case "jump outside the native-int range" `Quick test_wide_jump;
+        Alcotest.test_case "load/store outside the native-int range" `Quick test_wide_data;
       ] );
   ]
 
@@ -1012,7 +1130,7 @@ let prop_machine_monotonic =
         Machine.set_cap m i data_root
       done;
       m.Machine.pcc <- code_root;
-      m.Machine.pc <- text_base;
+      Machine.set_pc m text_base;
       (* seed GPRs with small values so derivations do something *)
       for i = 1 to 15 do
         Machine.set_gpr m i (Int64.of_int (i * 24))
@@ -1028,7 +1146,7 @@ let prop_machine_monotonic =
       let ok_mem = ref true in
       let line = ref 0L in
       while Int64.to_int !line < 4 * 1024 * 1024 do
-        if Mem.Tags.get m.Machine.tags !line then begin
+        if Mem.Tags.get m.Machine.tags (Int64.to_int !line) then begin
           let c =
             Cap.Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys !line 32)
           in

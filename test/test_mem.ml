@@ -32,16 +32,38 @@ let prop_phys_bus_error =
       | _ -> addr + 8 <= 0x10000
       | exception Mem.Phys.Bus_error _ -> addr + 8 > 0x10000)
 
+(* Addresses no physical memory reaches: beyond the native-int range
+   (whose low 63 bits would alias a real page if truncated), negative as
+   a native int, and within a word of [max_int] (where [addr + size]
+   would overflow).  Each raises [Bus_error] carrying the full address. *)
+let test_phys_wide_bus_error () =
+  let p = Mem.Phys.create ~size_bytes:0x10000 in
+  List.iter
+    (fun addr ->
+      match Mem.Phys.read_u64 p addr with
+      | _ -> Alcotest.failf "0x%Lx did not raise" addr
+      | exception Mem.Phys.Bus_error a -> Alcotest.(check int64) "full address" addr a)
+    [
+      Int64.min_int;
+      0x8000_0000_0000_0008L;
+      0x4000_0000_0000_0000L;
+      -8L;
+      Int64.of_int max_int;
+      Int64.of_int (max_int - 3);
+    ];
+  Alcotest.check_raises "index near max_int" (Mem.Phys.Bus_error (Int64.of_int (max_int - 3)))
+    (fun () -> ignore (Mem.Phys.index p (max_int - 3) 8))
+
 let prop_tags_store_clears =
   QCheck.Test.make ~count:300 ~name:"any overlapping data store clears the tag"
     QCheck.(pair (int_bound 1000) (int_range 1 16))
     (fun (line, size) ->
       let t = Mem.Tags.create ~mem_size:0x10000 () in
-      let line_addr = Int64.of_int (line * 32 mod 0xF000) in
+      let line_addr = line * 32 mod 0xF000 in
       Mem.Tags.set t line_addr true;
       (* a store overlapping any byte of the line clears it *)
       let off = size mod 32 in
-      Mem.Tags.clear_range t (Int64.add line_addr (Int64.of_int off)) size;
+      Mem.Tags.clear_range t (line_addr + off) size;
       not (Mem.Tags.get t line_addr))
 
 let prop_tags_neighbours_unaffected =
@@ -49,8 +71,8 @@ let prop_tags_neighbours_unaffected =
     QCheck.(int_bound 500)
     (fun line ->
       let t = Mem.Tags.create ~mem_size:0x10000 () in
-      let a = Int64.of_int (line * 32) in
-      let next = Int64.add a 32L in
+      let a = line * 32 in
+      let next = a + 32 in
       Mem.Tags.set t a true;
       Mem.Tags.set t next true;
       Mem.Tags.clear_range t a 32;
@@ -85,14 +107,14 @@ let prop_tlb_reach =
       let t = Mem.Tlb.create ~entries () in
       Mem.Tlb.map t ~vaddr:0L ~len:(4096 * (entries + 1)) Mem.Tlb.prot_rwx;
       (* touch [entries] distinct pages, then re-touch: all resident *)
-      let pages = List.init entries (fun i -> Int64.of_int (i * 4096)) in
+      let pages = List.init entries (fun i -> i * 4096) in
       List.iter (fun p -> ignore (Mem.Tlb.touch t p)) pages;
       let all_hit = List.for_all (fun p -> Mem.Tlb.touch t p) pages in
       (* one more page evicts exactly the least recently used (page 0);
          probing mutates recency, so check MRU first, then the victim *)
-      ignore (Mem.Tlb.touch t (Int64.of_int (entries * 4096)));
-      let mru_resident = Mem.Tlb.touch t (Int64.of_int ((entries - 1) * 4096)) in
-      let lru_evicted = not (Mem.Tlb.touch t 0L) in
+      ignore (Mem.Tlb.touch t (entries * 4096));
+      let mru_resident = Mem.Tlb.touch t ((entries - 1) * 4096) in
+      let lru_evicted = not (Mem.Tlb.touch t 0) in
       all_hit && mru_resident && lru_evicted)
 
 (* Snapshot/restore with dirty-page tracking: every page written after
@@ -143,18 +165,18 @@ let test_phys_snapshot_stale () =
    for exactly the pages whose data it rewinds. *)
 let test_tags_restore_page () =
   let t = Mem.Tags.create ~mem_size:0x4000 () in
-  Mem.Tags.set t 0x1000L true;
-  Mem.Tags.set t 0x2020L true;
+  Mem.Tags.set t 0x1000 true;
+  Mem.Tags.set t 0x2020 true;
   let snap = Mem.Tags.snapshot t in
-  Mem.Tags.set t 0x1000L false;
-  Mem.Tags.set t 0x2020L false;
-  Mem.Tags.set t 0x1040L true;
+  Mem.Tags.set t 0x1000 false;
+  Mem.Tags.set t 0x2020 false;
+  Mem.Tags.set t 0x1040 true;
   Mem.Tags.restore_page t snap ~page_bytes:0x1000 1;
-  Alcotest.(check bool) "page 1 tag restored" true (Mem.Tags.get t 0x1000L);
-  Alcotest.(check bool) "page 1 spurious tag cleared" false (Mem.Tags.get t 0x1040L);
-  Alcotest.(check bool) "page 2 untouched by page-1 restore" false (Mem.Tags.get t 0x2020L);
+  Alcotest.(check bool) "page 1 tag restored" true (Mem.Tags.get t 0x1000);
+  Alcotest.(check bool) "page 1 spurious tag cleared" false (Mem.Tags.get t 0x1040);
+  Alcotest.(check bool) "page 2 untouched by page-1 restore" false (Mem.Tags.get t 0x2020);
   Mem.Tags.restore_all t snap;
-  Alcotest.(check bool) "restore_all recovers page 2" true (Mem.Tags.get t 0x2020L)
+  Alcotest.(check bool) "restore_all recovers page 2" true (Mem.Tags.get t 0x2020)
 
 (* Cache.create indexes by shift/mask, so it must reject geometries the
    fast path cannot represent — with messages that say which parameter
@@ -186,13 +208,13 @@ let test_hierarchy_dram_accounting () =
   Mem.Tlb.map h.Mem.Hierarchy.tlb ~vaddr:0L ~len:0x100000 Mem.Tlb.prot_rwx;
   (* 1000 distinct lines: all compulsory misses reach DRAM *)
   for i = 0 to 999 do
-    ignore (Mem.Hierarchy.access_data h ~addr:(Int64.of_int (i * 32)) ~size:8 ~write:false)
+    ignore (Mem.Hierarchy.access_data h ~addr:(i * 32) ~size:8 ~write:false)
   done;
   Alcotest.(check bool) "DRAM read bytes counted" true (h.Mem.Hierarchy.dram_read_bytes >= 1000 * 32);
   (* re-touch: all resident in L2 (32KB < 64KB), no new DRAM traffic *)
   let before = h.Mem.Hierarchy.dram_read_bytes in
   for i = 0 to 999 do
-    ignore (Mem.Hierarchy.access_data h ~addr:(Int64.of_int (i * 32)) ~size:8 ~write:false)
+    ignore (Mem.Hierarchy.access_data h ~addr:(i * 32) ~size:8 ~write:false)
   done;
   Alcotest.(check int) "steady state" before h.Mem.Hierarchy.dram_read_bytes
 
@@ -201,11 +223,11 @@ let test_hierarchy_writeback () =
   Mem.Tlb.map h.Mem.Hierarchy.tlb ~vaddr:0L ~len:0x4000000 Mem.Tlb.prot_rwx;
   (* dirty many lines, then evict them with a large sweep: writebacks *)
   for i = 0 to 4095 do
-    ignore (Mem.Hierarchy.access_data h ~addr:(Int64.of_int (i * 32)) ~size:8 ~write:true)
+    ignore (Mem.Hierarchy.access_data h ~addr:(i * 32) ~size:8 ~write:true)
   done;
   for i = 0 to 16383 do
     ignore
-      (Mem.Hierarchy.access_data h ~addr:(Int64.of_int (0x100000 + (i * 32))) ~size:8 ~write:false)
+      (Mem.Hierarchy.access_data h ~addr:(0x100000 + (i * 32)) ~size:8 ~write:false)
   done;
   Alcotest.(check bool) "writebacks reached DRAM" true (h.Mem.Hierarchy.dram_write_bytes > 0)
 
@@ -222,6 +244,8 @@ let suites =
         prop_tlb_reach;
         prop_phys_snapshot_roundtrip;
       ];
+    ( "mem-phys",
+      [ Alcotest.test_case "wide addresses raise Bus_error" `Quick test_phys_wide_bus_error ] );
     ( "mem-snapshot",
       [
         Alcotest.test_case "stale snapshot refused" `Quick test_phys_snapshot_stale;

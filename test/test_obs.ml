@@ -150,7 +150,7 @@ let test_event_bus () =
 let test_profile_sampling () =
   let p = Obs.Profile.create ~period:10 () in
   for i = 1 to 100 do
-    ignore (Obs.Profile.step p (Int64.of_int (0x1000 + (i mod 3))))
+    ignore (Obs.Profile.step p (0x1000 + (i mod 3)))
   done;
   Alcotest.(check int) "100 steps / period 10 = 10 samples" 10 (Obs.Profile.total_samples p);
   let top = Obs.Profile.top p ~n:5 in
@@ -164,14 +164,14 @@ let test_profile_sampling () =
 
 let test_profile_stacks () =
   let p = Obs.Profile.create ~period:1 () in
-  Obs.Profile.call p 0x100L;
-  Obs.Profile.call p 0x200L;
-  ignore (Obs.Profile.step p 0x204L);
+  Obs.Profile.call p 0x100;
+  Obs.Profile.call p 0x200;
+  ignore (Obs.Profile.step p 0x204);
   Obs.Profile.ret p;
-  ignore (Obs.Profile.step p 0x104L);
+  ignore (Obs.Profile.step p 0x104);
   Obs.Profile.ret p;
   Obs.Profile.ret p (* unbalanced return is ignored *);
-  ignore (Obs.Profile.step p 0x8L);
+  ignore (Obs.Profile.step p 0x8);
   let resolve pc = match pc with 0x100L -> "f" | 0x200L -> "g" | _ -> "?" in
   Alcotest.(check (list string))
     "collapsed stacks" [ "all 1"; "all;f 1"; "all;f;g 1" ]

@@ -280,17 +280,17 @@ let test_revoke_sweeps_memory_and_registers () =
   let doomed = Cap.Capability.make ~perms:Cap.Perms.all ~base:0x5000L ~length:0x100L in
   let safe = Cap.Capability.make ~perms:Cap.Perms.all ~base:0x9000L ~length:0x100L in
   Mem.Phys.write_bytes m.Machine.phys 0x1000L (Cap.Capability.to_bytes doomed);
-  Mem.Tags.set m.Machine.tags 0x1000L true;
+  Mem.Tags.set m.Machine.tags 0x1000 true;
   Mem.Phys.write_bytes m.Machine.phys 0x1020L (Cap.Capability.to_bytes safe);
-  Mem.Tags.set m.Machine.tags 0x1020L true;
+  Mem.Tags.set m.Machine.tags 0x1020 true;
   (* And one in a register. *)
   Machine.set_cap m 7 doomed;
   Machine.set_cap m 8 safe;
   let stats = Os.Revoke.revoke m ~base:0x5000L ~length:0x100L in
   Alcotest.(check int) "memory revocations" 1 stats.Os.Revoke.memory_capabilities_revoked;
   Alcotest.(check int) "register revocations" 1 stats.Os.Revoke.register_capabilities_revoked;
-  Alcotest.(check bool) "doomed memory tag cleared" false (Mem.Tags.get m.Machine.tags 0x1000L);
-  Alcotest.(check bool) "safe memory tag kept" true (Mem.Tags.get m.Machine.tags 0x1020L);
+  Alcotest.(check bool) "doomed memory tag cleared" false (Mem.Tags.get m.Machine.tags 0x1000);
+  Alcotest.(check bool) "safe memory tag kept" true (Mem.Tags.get m.Machine.tags 0x1020);
   Alcotest.(check bool) "doomed register untagged" false
     (Cap.Capability.tag (Machine.cap m 7));
   Alcotest.(check bool) "safe register kept" true (Cap.Capability.tag (Machine.cap m 8))
