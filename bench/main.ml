@@ -500,17 +500,26 @@ let micro ~quick () =
            ignore (Mem.Cache.access_line c ~line:0 ~write:false);
            ignore (Mem.Cache.access_line c ~line:b ~write:false)))
   in
-  (* The warm-pool primitives (docs/PERFORMANCE.md "serving throughput"):
-     what one post-boot snapshot costs (full image copy, paid once per
-     pooled server) and what one dirty-page rewind costs (paid per
-     chunk, proportional to pages written — here 32, a mailbox-sized
-     working set). *)
-  let snapshot_capture =
+  (* The machine life-cycle primitives (docs/PERFORMANCE.md "physical
+     memory" and "serving throughput"): what a fresh default machine
+     costs (a 64 MiB page table over the shared zero page), what one
+     post-boot checkpoint and an immediate restore cost (page-table and
+     tag-map copies, paid once per pooled server), and what one
+     dirty-page rewind costs (paid per chunk, proportional to pages
+     written — here 32, a mailbox-sized working set). *)
+  let create () = ignore (Sys.opaque_identity (Machine.create ())) in
+  let machine_create =
+    Test.make ~name:"machine create (64 MiB default config)" (Staged.stage create)
+  in
+  let booted_machine () =
     let s = Serve.Server.create ~isolation:Serve.Scenario.Compart ~n:4 () in
     Serve.Server.boot s;
-    let m = s.Serve.Server.machine in
-    Test.make ~name:"machine checkpoint (16 MiB serve image)"
-      (Staged.stage (fun () -> ignore (Machine.checkpoint m)))
+    s.Serve.Server.machine
+  in
+  let checkpoint_restore m () = ignore (Machine.restore m (Machine.checkpoint m) : int) in
+  let snapshot_capture =
+    Test.make ~name:"machine checkpoint + restore (booted server)"
+      (Staged.stage (checkpoint_restore (booted_machine ())))
   in
   let snapshot_restore =
     let s = Serve.Server.create ~isolation:Serve.Scenario.Compart ~n:4 () in
@@ -530,7 +539,7 @@ let micro ~quick () =
     Test.make_grouped ~name:"cheri" ~fmt:"%s %s"
       [
         cap_ops; cap_bytes; decode; interp; cache; steady_hit; sb_dispatch; cold_fetch; tlb_hit;
-        l1_hit; way_hit; snapshot_capture; snapshot_restore;
+        l1_hit; way_hit; machine_create; snapshot_capture; snapshot_restore;
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -554,7 +563,24 @@ let micro ~quick () =
   print_string
     "(The fit has no intercept, so each sample's fixed measurement cost is spread over\n\
     \ the slope: an allocation-free operation reads about 0.2 words/op, and more under\n\
-    \ --quick.  test/test_alloc.ml gates the exact figures.)\n"
+    \ --quick.  test/test_alloc.ml gates the exact figures.)\n";
+  (* The machine life-cycle rows allocate mostly on the major heap, which
+     the minor-words column does not see: their exact words per call on
+     both heaps, read around one call. *)
+  let heap_words f =
+    Gc.minor ();
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  List.iter
+    (fun (name, f) ->
+      Printf.printf "%-55s %12.0f words/op on both heaps (exact)\n" name (heap_words f))
+    [
+      ("cheri machine create (64 MiB default config)", create);
+      ("cheri machine checkpoint + restore (booted server)", checkpoint_restore (booted_machine ()));
+    ]
 
 (* --- fault-injection coverage -------------------------------------------------------------- *)
 

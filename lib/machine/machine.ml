@@ -78,6 +78,9 @@ type t = {
   mutable pcc : Cap.Capability.t;
   cp0 : Cp0.t;
   phys : Mem.Phys.t;
+  mem : Bytes.t array;
+      (* [phys]'s page table, read and written at [page]/[offset] of a
+         byte index from [phys_index]; the array is never replaced *)
   tags : Mem.Tags.t;
   hier : Mem.Hierarchy.t;
   mutable cycles : int;
@@ -171,13 +174,15 @@ let max_sb_len = 64
 let default_kernel _t ctx = match ctx.exc with Cp0.Syscall -> Halt 0 | _ -> Fatal
 
 let create ?(config = default_config) () =
+  let phys = Mem.Phys.create ~size_bytes:config.mem_size in
   {
     config;
     regs = Regs.create ();
     caps = Array.make 32 Cap.Capability.almighty;
     pcc = Cap.Capability.almighty;
     cp0 = Cp0.create ();
-    phys = Mem.Phys.create ~size_bytes:config.mem_size;
+    phys;
+    mem = Mem.Phys.page_table phys;
     tags =
       Mem.Tags.create
         ~line_bytes:(match config.cap_width with W256 -> 32 | W128 -> 16)
@@ -451,8 +456,19 @@ let check_page t addr ~write =
 let data_penalty t ~addr ~size ~write =
   if t.timing then charge t (Mem.Hierarchy.access_data t.hier ~addr ~size ~write)
 
+(* Physical page geometry as local constants, so the page and offset of
+   a byte index compile to an immediate shift and mask ([Mem.Phys] is
+   opaque to this module). *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let () = assert (Mem.Phys.page_bytes = page_size)
+let[@inline] page t i = Array.unsafe_get t.mem (i lsr page_bits)
+let[@inline] offset i = i land (page_size - 1)
+
 (* Byte index of an access in physical memory, as the address error a
-   bus error becomes. *)
+   bus error becomes.  Data accesses are naturally aligned ([data_addr]
+   traps anything else; capabilities are aligned to their size), so one
+   never straddles a page and [page]/[offset] address all of it. *)
 let phys_index t ~addr ~size ~write =
   try
     if write then Mem.Phys.write_index t.phys addr size else Mem.Phys.index t.phys addr size
@@ -467,15 +483,15 @@ let load_scalar t ~reg c ~addr ~width ~unsigned ~rd =
   ignore (check_page t addr ~write:false);
   data_penalty t ~addr ~size ~write:false;
   let i = phys_index t ~addr ~size ~write:false in
-  let m = Mem.Phys.data t.phys in
+  let m = page t i and o = offset i in
   match (width, unsigned) with
-  | Insn.B, true -> set_reg t rd (Int64.of_int (Bytes.get_uint8 m i))
-  | Insn.B, false -> set_reg t rd (Int64.of_int (Bytes.get_int8 m i))
-  | Insn.H, true -> set_reg t rd (Int64.of_int (Bytes.get_uint16_le m i))
-  | Insn.H, false -> set_reg t rd (Int64.of_int (Bytes.get_int16_le m i))
-  | Insn.W, true -> set_reg t rd (Int64.of_int (Int32.to_int (Bytes.get_int32_le m i) land 0xFFFF_FFFF))
-  | Insn.W, false -> set_reg t rd (Int64.of_int32 (Bytes.get_int32_le m i))
-  | Insn.D, _ -> set_reg t rd (Bytes.get_int64_le m i)
+  | Insn.B, true -> set_reg t rd (Int64.of_int (Bytes.get_uint8 m o))
+  | Insn.B, false -> set_reg t rd (Int64.of_int (Bytes.get_int8 m o))
+  | Insn.H, true -> set_reg t rd (Int64.of_int (Bytes.get_uint16_le m o))
+  | Insn.H, false -> set_reg t rd (Int64.of_int (Bytes.get_int16_le m o))
+  | Insn.W, true -> set_reg t rd (Int64.of_int (Int32.to_int (Bytes.get_int32_le m o) land 0xFFFF_FFFF))
+  | Insn.W, false -> set_reg t rd (Int64.of_int32 (Bytes.get_int32_le m o))
+  | Insn.D, _ -> set_reg t rd (Bytes.get_int64_le m o)
 
 (* Scalar store of GPR [rs] through [c] at the checked address [addr]. *)
 let store_scalar t ~reg:creg c ~addr ~width ~rs =
@@ -484,12 +500,12 @@ let store_scalar t ~reg:creg c ~addr ~width ~rs =
   ignore (check_page t addr ~write:true);
   data_penalty t ~addr ~size ~write:true;
   let i = phys_index t ~addr ~size ~write:true in
-  let m = Mem.Phys.data t.phys in
+  let m = page t i and o = offset i in
   (match width with
-  | Insn.B -> Bytes.set_uint8 m i (Int64.to_int (reg t rs) land 0xFF)
-  | Insn.H -> Bytes.set_uint16_le m i (Int64.to_int (reg t rs) land 0xFFFF)
-  | Insn.W -> Bytes.set_int32_le m i (Int64.to_int32 (reg t rs))
-  | Insn.D -> Bytes.set_int64_le m i (reg t rs));
+  | Insn.B -> Bytes.set_uint8 m o (Int64.to_int (reg t rs) land 0xFF)
+  | Insn.H -> Bytes.set_uint16_le m o (Int64.to_int (reg t rs) land 0xFFFF)
+  | Insn.W -> Bytes.set_int32_le m o (Int64.to_int32 (reg t rs))
+  | Insn.D -> Bytes.set_int64_le m o (reg t rs));
   t.stores <- t.stores + 1;
   snoop_store t ~addr ~size;
   (* A general-purpose store clears the tag of the overlapped line(s):
@@ -534,18 +550,18 @@ let load_cap t ~reg c ~addr =
      shared mappings that cannot carry capabilities between processes. *)
   let tag = tag && prot.Mem.Tlb.cap_load in
   let i = phys_index t ~addr ~size ~write:false in
-  let m = Mem.Phys.data t.phys in
+  let m = page t i and o = offset i in
   let c =
     match t.config.cap_width with
     | W256 ->
         (* Word-granule image read: one bounds check, four word loads,
            no intermediate buffer. *)
         Cap.Capability.of_words ~tag
-          ~flags:(Bytes.get_int64_le m i)
-          ~reserved:(Bytes.get_int64_le m (i + 8))
-          ~base:(Bytes.get_int64_le m (i + 16))
-          ~length:(Bytes.get_int64_le m (i + 24))
-    | W128 -> Cap.Cap128.decompress ~tag (Cap.Cap128.of_bytes (Bytes.sub m i 16))
+          ~flags:(Bytes.get_int64_le m o)
+          ~reserved:(Bytes.get_int64_le m (o + 8))
+          ~base:(Bytes.get_int64_le m (o + 16))
+          ~length:(Bytes.get_int64_le m (o + 24))
+    | W128 -> Cap.Cap128.decompress ~tag (Cap.Cap128.of_bytes (Bytes.sub m o 16))
   in
   (match t.probe with
   | Some p when Cap.Capability.tag c ->
@@ -567,11 +583,11 @@ let store_cap t ~reg c ~addr v =
          encode, so materialising it after the penalty charge changes
          nothing observable.) *)
       let i = phys_index t ~addr ~size ~write:true in
-      let m = Mem.Phys.data t.phys in
-      Bytes.set_int64_le m i (Cap.Capability.flags_word v);
-      Bytes.set_int64_le m (i + 8) (Cap.Capability.reserved_word v);
-      Bytes.set_int64_le m (i + 16) (Cap.Capability.base v);
-      Bytes.set_int64_le m (i + 24) (Cap.Capability.length v)
+      let m = page t i and o = offset i in
+      Bytes.set_int64_le m o (Cap.Capability.flags_word v);
+      Bytes.set_int64_le m (o + 8) (Cap.Capability.reserved_word v);
+      Bytes.set_int64_le m (o + 16) (Cap.Capability.base v);
+      Bytes.set_int64_le m (o + 24) (Cap.Capability.length v)
   | W128 ->
       (* The compressed machine refuses to store a capability whose
          bounds the 128-bit format cannot represent exactly — checked
@@ -583,7 +599,7 @@ let store_cap t ~reg c ~addr v =
       in
       data_penalty t ~addr ~size ~write:true;
       let i = phys_index t ~addr ~size ~write:true in
-      Bytes.blit image 0 (Mem.Phys.data t.phys) i size);
+      Bytes.blit image 0 (page t i) (offset i) size);
   t.stores <- t.stores + 1;
   snoop_store t ~addr ~size;
   (match t.probe with
@@ -972,7 +988,12 @@ let fetch t =
   if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then raise (Exn (Cp0.Tlb_load, pc));
   if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr);
   let i = phys_index t ~addr ~size:4 ~write:false in
-  Int32.to_int (Bytes.get_int32_le (Mem.Phys.data t.phys) i) land 0xFFFF_FFFF
+  let o = offset i in
+  if o <= page_size - 4 then
+    Int32.to_int (Bytes.get_int32_le (page t i) o) land 0xFFFF_FFFF
+  else
+    (* Only a fetch at a misaligned PC can straddle two pages. *)
+    Mem.Phys.read_u32 t.phys pc
 
 (* Execute a single instruction, routing exceptions to the kernel model. *)
 let invalidate_icache t =

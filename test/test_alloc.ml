@@ -6,7 +6,9 @@
    unboxed datapath — register file and PC in raw 64-bit slots, native-int
    memory keys, loop-based cache way search — so a change that boxes an
    [int64] or builds a closure per instruction fails here rather than as
-   a drift in the benchmark's words-per-instruction figure. *)
+   a drift in the benchmark's words-per-instruction figure.  Two more
+   gates bound what a machine and a checkpoint cost on both heaps; a
+   flat zero-filled 64 MiB memory image alone would be 8 Mi words. *)
 
 let minor_words f =
   let before = Gc.minor_words () in
@@ -14,6 +16,20 @@ let minor_words f =
   Gc.minor_words () -. before
 
 let n = 10_000
+
+(* Words allocated on both heaps, for operations whose large blocks go
+   straight to the major heap: [Gc.minor_words] plus the major heap's
+   words, read together with [Gc.counters].  The major figure also holds
+   the words a minor collection promotes, which the minor figure already
+   counted, so those are taken off once.  Starting from an empty minor
+   heap makes the figure exact: without it, the minor count read across
+   a collection varies with how full the heap was beforehand. *)
+let heap_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
 (* A warm loop mixing the instruction classes a retired instruction
    exercises: ALU, legacy and capability-relative loads and stores of
@@ -116,6 +132,23 @@ let test_cache_way_search () =
   Alcotest.(check int) "every access hit" (hits + (2 * n)) c.Mem.Cache.hits;
   Alcotest.(check (float 0.)) "way-search hits allocate nothing" 0. words
 
+(* Physical memory is a copy-on-write page table over one shared zero
+   page, so a default 64 MiB machine costs its page table, tag map and
+   host-side caches, not a 64 MiB image (8 Mi words); a checkpoint copies
+   the page table and tag map, not the image. *)
+let gate_words what words ~limit =
+  if words > float_of_int limit then
+    Alcotest.failf "%s allocated %.0f words (gate: <= %d)" what words limit
+
+let test_create_words () =
+  let words = heap_words (fun () -> ignore (Sys.opaque_identity (Machine.create ()))) in
+  gate_words "Machine.create (64 MiB)" words ~limit:(256 * 1024)
+
+let test_checkpoint_words () =
+  let m = warm_machine () in
+  let words = heap_words (fun () -> ignore (Sys.opaque_identity (Machine.checkpoint m))) in
+  gate_words "Machine.checkpoint (64 MiB)" words ~limit:(128 * 1024)
+
 (* A whole legacy treeadd run, syscalls and all, under both engines. *)
 let test_treeadd_words_per_insn () =
   let source = Olden.Minic_src.instantiate (List.assoc "treeadd" Olden.Minic_src.all) ~param:10 in
@@ -144,5 +177,7 @@ let suites =
         Alcotest.test_case "TLB fast hit" `Quick test_tlb_fast_hit;
         Alcotest.test_case "cache way-search hit" `Quick test_cache_way_search;
         Alcotest.test_case "legacy treeadd words/insn" `Quick test_treeadd_words_per_insn;
+        Alcotest.test_case "Machine.create words" `Quick test_create_words;
+        Alcotest.test_case "Machine.checkpoint words" `Quick test_checkpoint_words;
       ] );
   ]

@@ -991,6 +991,71 @@ let test_wide_data () =
        ~exc:(Cp0.Cp2 Cap.Cause.Length_violation) ~capcause:Cap.Cause.Length_violation
        ~capreg:0 ~badvaddr:0x4000_0000_0000_1000L ~epc:0x2000L)
 
+(* A fetch at a misaligned PC reads the four bytes at the PC, which may
+   straddle two physical pages.  Each target is a [jr] away: both pages
+   written, the upper page never written (its bytes read as zero), and
+   the lower page never written.  Both engines must fetch the word a flat
+   image holds — the four bytes, little-endian — and trap at the same
+   place with the same result. *)
+let test_straddling_fetch () =
+  let lo w = w land 0xFFFF and hi w = w lsr 16 in
+  let set7 = Code.encode (Insn.Daddiu (3, 0, 7)) in
+  let move = Code.encode (Insn.Daddiu (3, 4, 0)) in
+  let brk = Code.encode Insn.Break in
+  Alcotest.(check int) "break fits the lower page's half" 0 (hi brk);
+  Alcotest.(check int) "the move fits the upper page's half" 0 (lo move);
+  let run engine ~target halves =
+    let m = Machine.create () in
+    Machine.set_engine m engine;
+    Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+    let trap = ref None in
+    Machine.set_kernel m (fun m ctx ->
+        trap := Some (Cp0.exc_to_string ctx.Machine.exc, ctx.Machine.victim_pc, Machine.gpr m 3);
+        Machine.Halt 0);
+    Mem.Phys.write_u32 m.Machine.phys 0x1000L (Code.encode (Insn.Jr 8));
+    List.iter (fun (a, h) -> Mem.Phys.write_u16 m.Machine.phys (Int64.of_int a) h) halves;
+    Machine.set_gpr m 4 42L;
+    Machine.set_gpr m 8 (Int64.of_int target);
+    Machine.set_pc m 0x1000L;
+    ignore (Machine.run ~max_insns:100L m);
+    let bytes = Mem.Phys.read_bytes m.Machine.phys (Int64.of_int target) 4 in
+    (Int32.to_int (Bytes.get_int32_le bytes 0) land 0xFFFF_FFFF, Mem.Phys.dirty_pages m.Machine.phys, !trap)
+  in
+  List.iter
+    (fun (what, target, halves, word, unwritten, v1, epc) ->
+      let ((w, dirty, trap) as plain) = run Machine.Plain ~target halves in
+      let sb = run Machine.Superblock ~target halves in
+      Alcotest.(check bool) (what ^ ": engines agree") true (plain = sb);
+      Alcotest.(check int) (what ^ ": fetched word") word w;
+      List.iter
+        (fun p ->
+          Alcotest.(check bool) (Printf.sprintf "%s: page %d never written" what p) false
+            (List.mem p dirty))
+        unwritten;
+      match trap with
+      | Some (exc, victim, r3) ->
+          Alcotest.(check string) (what ^ ": exception") (Cp0.exc_to_string Cp0.Breakpoint) exc;
+          Alcotest.(check int64) (what ^ ": trapping pc") epc victim;
+          Alcotest.(check int64) (what ^ ": $v1") v1 r3
+      | None -> Alcotest.failf "%s: no trap" what)
+    [
+      ( "both pages written",
+        0x2FFE,
+        [ (0x2FFE, lo set7); (0x3000, hi set7); (0x3002, lo brk); (0x3004, hi brk) ],
+        set7,
+        [],
+        7L,
+        0x3002L );
+      ("upper page never written", 0x4FFE, [ (0x4FFE, lo brk) ], brk, [ 5 ], 0L, 0x4FFEL);
+      ( "lower page never written",
+        0x6FFE,
+        [ (0x7000, hi move); (0x7002, lo brk); (0x7004, hi brk) ],
+        move,
+        [ 6 ],
+        42L,
+        0x7002L );
+    ]
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let suites =
@@ -1042,6 +1107,7 @@ let suites =
       [
         Alcotest.test_case "jump outside the native-int range" `Quick test_wide_jump;
         Alcotest.test_case "load/store outside the native-int range" `Quick test_wide_data;
+        Alcotest.test_case "fetch straddling two pages" `Quick test_straddling_fetch;
       ] );
   ]
 

@@ -161,6 +161,188 @@ let test_phys_snapshot_stale () =
   | exception Invalid_argument _ -> ());
   Alcotest.(check int64) "newer snapshot's image stands" 9L (Mem.Phys.read_u64 p 0x1400L)
 
+(* The naive reference model for [Phys]: one flat image, a dirty flag
+   per page, and snapshots that copy the whole image and restore all of
+   it.  One qcheck stream drives the model and a real [Phys] side by
+   side; every read, every dirty-page list and every restore count must
+   agree, so the page table, its copy-on-write rule and the page-crossing
+   accessors are observationally the flat image they replaced. *)
+module Flat = struct
+  type t = { img : Bytes.t; dirty : bool array; mutable stamp : int }
+  type snap = { copy : Bytes.t; at : int }
+
+  let create size =
+    {
+      img = Bytes.make size '\000';
+      dirty = Array.make ((size + Mem.Phys.page_bytes - 1) / Mem.Phys.page_bytes) false;
+      stamp = 0;
+    }
+
+  let check t a len =
+    if a < 0 || a + len > Bytes.length t.img then raise (Mem.Phys.Bus_error (Int64.of_int a))
+
+  let read t a len =
+    check t a len;
+    Bytes.sub t.img a len
+
+  let write t a b =
+    let len = Bytes.length b in
+    check t a len;
+    Bytes.blit b 0 t.img a len;
+    if len > 0 then
+      for p = a / Mem.Phys.page_bytes to (a + len - 1) / Mem.Phys.page_bytes do
+        t.dirty.(p) <- true
+      done
+
+  let dirty_pages t = List.filter (fun p -> t.dirty.(p)) (List.init (Array.length t.dirty) Fun.id)
+
+  let snapshot t =
+    t.stamp <- t.stamp + 1;
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    { copy = Bytes.copy t.img; at = t.stamp }
+
+  let restore t s =
+    if s.at <> t.stamp then invalid_arg "Flat.restore: stale snapshot";
+    let n = List.length (dirty_pages t) in
+    Bytes.blit s.copy 0 t.img 0 (Bytes.length t.img);
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    n
+end
+
+type phys_op =
+  | Write of int * int * int64 (* width, address, value *)
+  | Read of int * int
+  | Write_bytes of int * int * int (* address, length, fill seed *)
+  | Read_bytes of int * int
+  | Snapshot
+  | Restore of int (* 0 = newest snapshot; older ones are stale *)
+
+let show_op = function
+  | Write (w, a, v) -> Printf.sprintf "write%d 0x%x 0x%Lx" (8 * w) a v
+  | Read (w, a) -> Printf.sprintf "read%d 0x%x" (8 * w) a
+  | Write_bytes (a, n, s) -> Printf.sprintf "write_bytes 0x%x len %d seed %d" a n s
+  | Read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%x len %d" a n
+  | Snapshot -> "snapshot"
+  | Restore k -> Printf.sprintf "restore %d" k
+
+(* Five and a half pages: the last page is partial. *)
+let model_size = 0x5800
+
+let gen_phys_op =
+  let open QCheck.Gen in
+  (* Addresses cluster at page boundaries, so scalars and byte runs
+     straddle pages; a few fall outside memory. *)
+  let addr =
+    frequency
+      [
+        (3, map2 (fun p d -> (p * Mem.Phys.page_bytes) + d) (int_range 1 5) (int_range (-9) 8));
+        (2, int_range (-4) (model_size + 4));
+      ]
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  frequency
+    [
+      (6, map3 (fun w a v -> Write (w, a, v)) width addr ui64);
+      (4, map2 (fun w a -> Read (w, a)) width addr);
+      (2, map3 (fun a n s -> Write_bytes (a, n, s)) addr (int_range 0 9000) nat);
+      (2, map2 (fun a n -> Read_bytes (a, n)) addr (int_range 0 9000));
+      (1, return Snapshot);
+      (1, map (fun k -> Restore k) (frequency [ (3, return 0); (1, int_range 1 3) ]));
+    ]
+
+let fill_bytes n seed = Bytes.init n (fun i -> Char.chr (((i * 31) + seed) land 0xFF))
+
+(* Little-endian bytes of [v]'s low [w] bytes, and back. *)
+let le_bytes w v =
+  Bytes.init w (fun k -> Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF))
+
+let le_value b =
+  let v = ref 0L in
+  for k = Bytes.length b - 1 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get b k)))
+  done;
+  !v
+
+(* Run one op on each side; the observable outcome as a string. *)
+let step_phys p (snaps : Mem.Phys.snapshot list) op =
+  let a64 a = Int64.of_int a in
+  match op with
+  | Write (1, a, v) ->
+      Mem.Phys.write_u8 p (a64 a) (Int64.to_int v);
+      "ok"
+  | Write (2, a, v) ->
+      Mem.Phys.write_u16 p (a64 a) (Int64.to_int v);
+      "ok"
+  | Write (4, a, v) ->
+      Mem.Phys.write_u32 p (a64 a) (Int64.to_int v);
+      "ok"
+  | Write (_, a, v) ->
+      Mem.Phys.write_u64 p (a64 a) v;
+      "ok"
+  | Read (1, a) -> Printf.sprintf "%x" (Mem.Phys.read_u8 p (a64 a))
+  | Read (2, a) -> Printf.sprintf "%x" (Mem.Phys.read_u16 p (a64 a))
+  | Read (4, a) -> Printf.sprintf "%x" (Mem.Phys.read_u32 p (a64 a))
+  | Read (_, a) -> Printf.sprintf "%Lx" (Mem.Phys.read_u64 p (a64 a))
+  | Write_bytes (a, n, s) ->
+      Mem.Phys.write_bytes p (a64 a) (fill_bytes n s);
+      "ok"
+  | Read_bytes (a, n) -> Digest.to_hex (Digest.bytes (Mem.Phys.read_bytes p (a64 a) n))
+  | Snapshot -> "snapshot"
+  | Restore k -> (
+      match List.nth_opt snaps k with
+      | None -> "none"
+      | Some s -> string_of_int (Mem.Phys.restore p s))
+
+let step_flat f (snaps : Flat.snap list) op =
+  match op with
+  | Write (w, a, v) ->
+      Flat.write f a (le_bytes w v);
+      "ok"
+  | Read (8, a) -> Printf.sprintf "%Lx" (le_value (Flat.read f a 8))
+  | Read (w, a) -> Printf.sprintf "%x" (Int64.to_int (le_value (Flat.read f a w)))
+  | Write_bytes (a, n, s) ->
+      Flat.write f a (fill_bytes n s);
+      "ok"
+  | Read_bytes (a, n) -> Digest.to_hex (Digest.bytes (Flat.read f a n))
+  | Snapshot -> "snapshot"
+  | Restore k -> (
+      match List.nth_opt snaps k with
+      | None -> "none"
+      | Some s -> string_of_int (Flat.restore f s))
+
+let outcome f =
+  match f () with
+  | r -> r
+  | exception Mem.Phys.Bus_error a -> Printf.sprintf "bus %Lx" a
+  | exception Invalid_argument _ -> "stale"
+
+let prop_phys_reference_model =
+  QCheck.Test.make ~count:200 ~name:"paged Phys matches the flat reference model"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        Gen.(list_size (int_range 1 60) gen_phys_op))
+    (fun ops ->
+      let p = Mem.Phys.create ~size_bytes:model_size and f = Flat.create model_size in
+      let psnaps = ref [] and fsnaps = ref [] in
+      let agree op =
+        let rp = outcome (fun () -> step_phys p !psnaps op) in
+        let rf = outcome (fun () -> step_flat f !fsnaps op) in
+        if op = Snapshot then begin
+          psnaps := Mem.Phys.snapshot p :: !psnaps;
+          fsnaps := Flat.snapshot f :: !fsnaps
+        end;
+        if rp <> rf then QCheck.Test.fail_reportf "%s: phys %s, model %s" (show_op op) rp rf;
+        if Mem.Phys.dirty_pages p <> Flat.dirty_pages f then
+          QCheck.Test.fail_reportf "%s: dirty pages differ" (show_op op)
+      in
+      List.iter agree ops;
+      let whole = Mem.Phys.read_bytes p 0L model_size in
+      if not (Bytes.equal whole f.Flat.img) then QCheck.Test.fail_report "final images differ";
+      (* The shared zero page was never written: a fresh image is zero. *)
+      let fresh = Mem.Phys.read_bytes (Mem.Phys.create ~size_bytes:model_size) 0L model_size in
+      Bytes.for_all (fun c -> c = '\000') fresh)
+
 (* Tag-table restore is page-granular so Machine.restore can rewind tags
    for exactly the pages whose data it rewinds. *)
 let test_tags_restore_page () =
@@ -243,6 +425,7 @@ let suites =
         prop_cache_working_set;
         prop_tlb_reach;
         prop_phys_snapshot_roundtrip;
+        prop_phys_reference_model;
       ];
     ( "mem-phys",
       [ Alcotest.test_case "wide addresses raise Bus_error" `Quick test_phys_wide_bus_error ] );
