@@ -241,8 +241,10 @@ let size_bytes = 32
    machine's CLC/CSC path move capabilities through memory as four
    64-bit words without materialising an intermediate [Bytes] buffer
    (that allocation was measurable on the simulator's hot path);
-   [of_bytes]/[to_bytes] below are the same codec over a buffer. *)
-let flags_word c =
+   [of_bytes]/[to_bytes] below are the same codec over a buffer.  Both
+   are inlined into the machine's CLC/CSC, so the flags word travels
+   unboxed (three words saved per capability load and store). *)
+let[@inline] flags_word c =
   Int64.logor
     (if c.sealed then 1L else 0L)
     (Int64.logor
@@ -253,7 +255,7 @@ let flags_word c =
 
 let reserved_word c = c.reserved
 
-let of_words ~tag ~flags ~reserved ~base ~length =
+let[@inline] of_words ~tag ~flags ~reserved ~base ~length =
   let sealed = Int64.logand flags 1L = 1L in
   let perms =
     Perms.of_int (Int64.to_int (Int64.logand (Int64.shift_right_logical flags 1) 0x7FFF_FFFFL))
@@ -263,6 +265,23 @@ let of_words ~tag ~flags ~reserved ~base ~length =
   in
   let flags_rest = Int64.to_int (Int64.shift_right_logical flags 56) in
   { tag; sealed; perms; otype; base; length; flags_rest; reserved }
+
+(* [of_words] that returns [prev] itself when the image decodes to a
+   capability equal to it.  Every bit of the flags word round-trips, so
+   comparing the four words and the tag is comparing every field.
+   Capabilities are immutable and compared structurally, so sharing is
+   unobservable; a CLC that reloads the value its destination register
+   already holds (more than half of the CLCs of the compartment-server
+   workload) then allocates nothing. *)
+let[@inline] of_words_reusing ~prev ~tag ~flags ~reserved ~base ~length =
+  if
+    tag = prev.tag
+    && Int64.equal base prev.base
+    && Int64.equal length prev.length
+    && Int64.equal reserved prev.reserved
+    && Int64.equal flags (flags_word prev)
+  then prev
+  else of_words ~tag ~flags ~reserved ~base ~length
 
 let to_bytes c =
   let b = Bytes.make size_bytes '\000' in

@@ -120,6 +120,11 @@ val reserved_word : t -> U64.t
 
 val of_words : tag:bool -> flags:U64.t -> reserved:U64.t -> base:U64.t -> length:U64.t -> t
 
+(** {!of_words}, but [prev] itself (no allocation) when the words and
+    tag decode to a capability {!equal} to [prev]. *)
+val of_words_reusing :
+  prev:t -> tag:bool -> flags:U64.t -> reserved:U64.t -> base:U64.t -> length:U64.t -> t
+
 (** Serialize to the 32-byte image (losslessly — registers may hold plain
     data). *)
 val to_bytes : t -> bytes

@@ -456,14 +456,10 @@ let check_page t addr ~write =
 let data_penalty t ~addr ~size ~write =
   if t.timing then charge t (Mem.Hierarchy.access_data t.hier ~addr ~size ~write)
 
-(* Physical page geometry as local constants, so the page and offset of
-   a byte index compile to an immediate shift and mask ([Mem.Phys] is
-   opaque to this module). *)
-let page_bits = 12
-let page_size = 1 lsl page_bits
-let () = assert (Mem.Phys.page_bytes = page_size)
-let[@inline] page t i = Array.unsafe_get t.mem (i lsr page_bits)
-let[@inline] offset i = i land (page_size - 1)
+(* The page and offset of a physical byte index: an immediate shift and
+   mask, since [Mem.Phys]'s page constants propagate across modules. *)
+let[@inline] page t i = Array.unsafe_get t.mem (i lsr Mem.Phys.page_bits)
+let[@inline] offset i = i land (Mem.Phys.page_bytes - 1)
 
 (* Byte index of an access in physical memory, as the address error a
    bus error becomes.  Data accesses are naturally aligned ([data_addr]
@@ -539,7 +535,7 @@ let cap_digest v =
     mix h (if Cap.Capability.is_sealed v then 7L else 11L)
   end
 
-let load_cap t ~reg c ~addr =
+let load_cap t ~reg c ~addr ~prev =
   let size = cap_size t in
   check_cap t ~reg c Cap.Capability.Load_cap ~addr ~size;
   let prot = check_page t addr ~write:false in
@@ -555,8 +551,9 @@ let load_cap t ~reg c ~addr =
     match t.config.cap_width with
     | W256 ->
         (* Word-granule image read: one bounds check, four word loads,
-           no intermediate buffer. *)
-        Cap.Capability.of_words ~tag
+           no intermediate buffer, and no new record when the image
+           holds the destination register's current value [prev]. *)
+        Cap.Capability.of_words_reusing ~prev ~tag
           ~flags:(Bytes.get_int64_le m o)
           ~reserved:(Bytes.get_int64_le m (o + 8))
           ~base:(Bytes.get_int64_le m (o + 16))
@@ -901,7 +898,7 @@ let execute t insn =
       let addr =
         data_addr t ~reg:cb c Cap.Capability.Load_cap ~size:(cap_size t) (cap_ea c (reg t rt) i)
       in
-      t.caps.(cd) <- load_cap t ~reg:cb c ~addr;
+      t.caps.(cd) <- load_cap t ~reg:cb c ~addr ~prev:t.caps.(cd);
       set_pc t next
   | Insn.CSC (cs, cb, rt, i) ->
       let c = t.caps.(cb) in
@@ -989,7 +986,7 @@ let fetch t =
   if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr);
   let i = phys_index t ~addr ~size:4 ~write:false in
   let o = offset i in
-  if o <= page_size - 4 then
+  if o <= Mem.Phys.page_bytes - 4 then
     Int32.to_int (Bytes.get_int32_le (page t i) o) land 0xFFFF_FFFF
   else
     (* Only a fetch at a misaligned PC can straddle two pages. *)
@@ -1093,43 +1090,42 @@ let block_terminator = function
   | Insn.CCall _ | Insn.CReturn -> true
   | _ -> false
 
+let[@inline] decode_slot a = (a lsr 2) land decode_mask
+
 (* Try to form a superblock headed at [ipc] (a faithful int PC) and pin it
    in table slot [slot].  Formation reads *only decode-cache-resident*
    entries — it stops at the first cold slot — so translation can never
    observe instruction bytes the plain engine would not have decoded, and
    a cold head doubles as the hotness gate: code translates on its second
    visit, once the first pass has warmed the decode cache.  Returns the
-   pinned code array ([||] when the head is cold or a terminator). *)
+   pinned code array ([||] when the head is cold or a terminator).  The
+   block's length is counted before anything is allocated: a cold head,
+   retried on every dispatch until it warms, allocates nothing, and a
+   block allocates only itself. *)
 let translate t ipc slot =
-  let buf = Array.make max_sb_len Insn.Syscall in
   let n = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !n < max_sb_len do
-    let a = ipc + (!n * 4) in
-    let dslot = (a lsr 2) land decode_mask in
-    if Array.unsafe_get t.decode_pc dslot = a then begin
-      let insn = Array.unsafe_get t.decode_insn dslot in
-      if block_terminator insn then continue_ := false
-      else begin
-        Array.unsafe_set buf !n insn;
-        incr n
-      end
-    end
-    else continue_ := false
+  while
+    !n < max_sb_len
+    && Array.unsafe_get t.decode_pc (decode_slot (ipc + (!n * 4))) = ipc + (!n * 4)
+    && not (block_terminator (Array.unsafe_get t.decode_insn (decode_slot (ipc + (!n * 4)))))
+  do
+    incr n
   done;
   if !n = 0 then begin
     (* Pin an empty block for a *warm* terminator head so re-dispatch is a
        single compare; a cold head stays unpinned and will be retried once
        the decode cache has warmed. *)
-    let dslot = (ipc lsr 2) land decode_mask in
-    if Array.unsafe_get t.decode_pc dslot = ipc then begin
+    if Array.unsafe_get t.decode_pc (decode_slot ipc) = ipc then begin
       Array.unsafe_set t.sb_pc slot ipc;
       Array.unsafe_set t.sb_code slot [||]
     end;
     [||]
   end
   else begin
-    let code = Array.sub buf 0 !n in
+    let code = Array.make !n Insn.Syscall in
+    for k = 0 to !n - 1 do
+      Array.unsafe_set code k (Array.unsafe_get t.decode_insn (decode_slot (ipc + (k * 4))))
+    done;
     Array.unsafe_set t.sb_pc slot ipc;
     Array.unsafe_set t.sb_code slot code;
     t.sb_translations <- t.sb_translations + 1;

@@ -143,7 +143,7 @@ let access_line_slow t ~line ~write =
     if writeback then miss_writeback else miss_clean
   end
 
-let access_line t ~line ~write =
+let[@inline] access_line t ~line ~write =
   if line = t.mru_line then begin
     (* MRU-front hit: same line as the previous access, still resident by
        the front invariant (every access, including the eviction of the

@@ -37,6 +37,12 @@ val create : name:string -> size_bytes:int -> line_bytes:int -> assoc:int -> t
 
 val size_bytes : t -> int
 
+(** [true] for a positive power of two: the geometry {!create} accepts. *)
+val is_pow2 : int -> bool
+
+(** log2 of a power of two. *)
+val log2 : int -> int
+
 (** Line index of an address ([addr / line_bytes] as a native int): the
     unit {!access_line} operates on. *)
 val line_index : t -> int64 -> int

@@ -92,6 +92,31 @@ let create ?(config = default_config) () =
 (* Report one observability event at [addr]; free when no probe is attached. *)
 let fire t ev ~addr = match t.on_event with None -> () | Some f -> f ev ~addr
 
+(* One lookup in [cache] (the L2 or the tag cache) for line index [line]
+   of that cache.  A miss reads a line from DRAM and writes back a dirty
+   victim; its events carry the data address [addr_line lsl line_bits].
+   Returns [true] on a miss. *)
+let dram_fill t cache ~line ~write ~miss_ev ~addr_line =
+  match Cache.access_line cache ~line ~write with
+  | Cache.Hit -> false
+  | Cache.Miss { writeback } ->
+      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
+      (match t.on_event with
+      | None -> ()
+      | Some f ->
+          let addr = addr_line lsl t.line_bits in
+          f miss_ev ~addr;
+          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
+      if writeback then begin
+        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
+        match t.on_event with
+        | None -> ()
+        | Some f ->
+            f (Obs.Attrib.Dram_write t.config.line_bytes)
+              ~addr:(addr_line lsl t.line_bits)
+      end;
+      true
+
 (* Tag controller: each DRAM transaction consults the tag table; the 8 KB
    tag cache covers 2 MB of memory (one bit per 32-byte line), so misses
    are rare (the paper: "does not noticeably degrade performance").
@@ -99,135 +124,45 @@ let fire t ev ~addr = match t.on_event with None -> () | Some f -> f ev ~addr
    address — "which access caused the tag fill" is the question.
    [line] is the data line index; one tag-cache line (32 B = 256 tag
    bits) covers 256 lines = 8 KB, so the tag-table line index is the
-   data address divided by 256 then by the line size. *)
+   data address divided by 256 then by the line size.  The tag fill is
+   fetched in parallel with the DRAM line fill: a miss costs one cycle. *)
 let tag_lookup t ~line ~write =
-  let tag_line = line lsr 8 in
-  match Cache.access_line t.tag_cache ~line:tag_line ~write with
-  | Cache.Hit -> 0
-  | Cache.Miss { writeback } ->
-      t.tag_dram_accesses <- t.tag_dram_accesses + 1;
-      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-      (match t.on_event with
-      | None -> ()
-      | Some f ->
-          let addr = line lsl t.line_bits in
-          f Obs.Attrib.Tag_miss ~addr;
-          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-      if writeback then begin
-        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-        match t.on_event with
-        | None -> ()
-        | Some f ->
-            f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(line lsl t.line_bits)
-      end;
-      (* Fetched in parallel with the DRAM line fill; charge a single cycle. *)
-      1
+  if dram_fill t t.tag_cache ~line:(line lsr 8) ~write ~miss_ev:Obs.Attrib.Tag_miss ~addr_line:line
+  then begin
+    t.tag_dram_accesses <- t.tag_dram_accesses + 1;
+    1
+  end
+  else 0
 
-(* One L2 lookup (with its DRAM and tag-controller consequences) for data
-   line index [line]. *)
-let l2_access t ~line ~write =
-  match Cache.access_line t.l2 ~line ~write with
-  | Cache.Hit -> 0
-  | Cache.Miss { writeback } ->
-      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-      (match t.on_event with
-      | None -> ()
-      | Some f ->
-          let addr = line lsl t.line_bits in
-          f Obs.Attrib.L2_miss ~addr;
-          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-      if writeback then begin
-        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-        match t.on_event with
-        | None -> ()
-        | Some f ->
-            f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(line lsl t.line_bits)
-      end;
-      1
+(* An L1 miss on data line [line]: write back a dirty victim to the L2,
+   then fill from the L2, or on an L2 miss from DRAM through the tag
+   controller.  Returns the miss's cycle cost. *)
+let l1_miss t ~l1_ev ~line ~write ~writeback =
+  fire t l1_ev ~addr:(line lsl t.line_bits);
+  if writeback then
+    ignore (dram_fill t t.l2 ~line ~write:true ~miss_ev:Obs.Attrib.L2_miss ~addr_line:line);
+  if dram_fill t t.l2 ~line ~write:false ~miss_ev:Obs.Attrib.L2_miss ~addr_line:line then
+    t.config.l2_hit_cycles + t.config.dram_cycles + tag_lookup t ~line ~write
+  else t.config.l2_hit_cycles
 
 (* Touch one line through L1 -> L2 -> DRAM, returning a cycle cost.
-   [l1_ev] is the attribution class of a miss in [l1] (L1I vs L1D). *)
-let line_access t ~l1 ~l1_ev ~line ~write =
+   [l1_ev] is the attribution class of a miss in [l1] (L1I vs L1D).
+   The L1 lookup is inlined into [access_data] and [access_insn] (with
+   [Cache.access_line]'s MRU front and [Tlb.touch]'s same-page branch),
+   so an access that hits makes no call; a miss goes to [l1_miss]. *)
+let[@inline] line_access t ~l1 ~l1_ev ~line ~write =
   match Cache.access_line l1 ~line ~write with
   | Cache.Hit -> 0
-  | Cache.Miss { writeback = l1_wb } ->
-      let cost = ref t.config.l2_hit_cycles in
-      (match t.on_event with
-      | None -> ()
-      | Some f -> f l1_ev ~addr:(line lsl t.line_bits));
-      if l1_wb then ignore (l2_access t ~line ~write:true);
-      (match Cache.access_line t.l2 ~line ~write:false with
-      | Cache.Hit -> ()
-      | Cache.Miss { writeback } ->
-          cost := !cost + t.config.dram_cycles;
-          t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-          (match t.on_event with
-          | None -> ()
-          | Some f ->
-              let addr = line lsl t.line_bits in
-              f Obs.Attrib.L2_miss ~addr;
-              f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-          if writeback then begin
-            t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-            (match t.on_event with
-            | None -> ()
-            | Some f ->
-                f (Obs.Attrib.Dram_write t.config.line_bytes)
-                  ~addr:(line lsl t.line_bits))
-          end;
-          cost := !cost + tag_lookup t ~line ~write);
-      !cost
+  | Cache.Miss { writeback } -> l1_miss t ~l1_ev ~line ~write ~writeback
 
-(* Hand-inlined TLB and L1 hit fast paths.  [access_insn]/[access_data]
-   run once or twice per simulated instruction, so the call overhead of
-   the layered dispatch (touch -> line_access -> access_line) is itself
-   measurable.  Each helper replicates the corresponding fast branch of
-   lib/mem/tlb.ml / lib/mem/cache.ml with byte-identical state updates;
-   on [false] it has touched nothing and the caller runs the full layered
-   path, so every access takes exactly the transitions the layers would
-   make.  TLB hits fire no events, so [tlb_fast_hit] is safe with an
-   observer attached; per-access Load/Store events make [access_data]
-   skip its cache fast path when a probe is installed. *)
-
-(* [Tlb.touch]'s first two branches: same page as the previous
-   translation, or a verified residency-memo hit. *)
-let tlb_fast_hit tlb p =
-  if p = tlb.Tlb.last_vpn then begin
-    tlb.Tlb.tick <- tlb.Tlb.tick + 1;
-    tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-    Array.unsafe_set tlb.Tlb.slot_tick tlb.Tlb.last_slot tlb.Tlb.tick;
-    true
-  end
+(* The cycle cost of translating [addr]: 0 on a TLB hit, the refill
+   penalty on a miss. *)
+let[@inline] translate t ~addr =
+  if Tlb.touch t.tlb addr then 0
   else begin
-    let mi = p land (Array.length tlb.Tlb.slot_memo_vpn - 1) in
-    let mslot = Array.unsafe_get tlb.Tlb.slot_memo_slot mi in
-    if
-      Array.unsafe_get tlb.Tlb.slot_memo_vpn mi = p
-      && Array.unsafe_get tlb.Tlb.slot_vpn mslot = p
-    then begin
-      tlb.Tlb.tick <- tlb.Tlb.tick + 1;
-      tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-      Array.unsafe_set tlb.Tlb.slot_tick mslot tlb.Tlb.tick;
-      tlb.Tlb.last_vpn <- p;
-      tlb.Tlb.last_slot <- mslot;
-      true
-    end
-    else false
+    fire t Obs.Attrib.Tlb_miss ~addr;
+    t.config.tlb_refill_cycles
   end
-
-(* [Cache.access_line]'s MRU-front branch. *)
-let l1_fast_hit l1 line write =
-  if line = l1.Cache.mru_line then begin
-    l1.Cache.tick <- l1.Cache.tick + 1;
-    l1.Cache.hits <- l1.Cache.hits + 1;
-    let w = l1.Cache.mru_way in
-    w.Cache.lru <- l1.Cache.tick;
-    if write then w.Cache.dirty <- true;
-    true
-  end
-  else false
 
 (* A data access of [size] bytes at [addr]; returns the cycle penalty beyond
    the single-cycle pipeline occupancy.  Addresses are native ints here
@@ -247,40 +182,17 @@ let access_data t ~addr ~size ~write =
   | None -> ()
   | Some f -> f (if write then Obs.Attrib.Store size else Obs.Attrib.Load size) ~addr);
   let first = addr lsr t.line_bits in
-  let last = (addr + max 1 size - 1) lsr t.line_bits in
-  let tlb_cost =
-    if tlb_fast_hit t.tlb (addr lsr Tlb.page_bits) then 0
-    else if Tlb.touch t.tlb addr then 0
-    else begin
-      fire t Obs.Attrib.Tlb_miss ~addr;
-      t.config.tlb_refill_cycles
-    end
-  in
-  if
-    first = last
-    && (match t.on_event with None -> true | Some _ -> false)
-    && l1_fast_hit t.l1d first write
-  then tlb_cost
-  else begin
-    let cost = ref tlb_cost in
-    for line = first to last do
-      cost := !cost + line_access t ~l1:t.l1d ~l1_ev:Obs.Attrib.L1d_miss ~line ~write
-    done;
-    !cost
-  end
+  (* Not [max 1 size]: the polymorphic [Stdlib.max] is an out-of-line call. *)
+  let last = (addr + (if size > 1 then size - 1 else 0)) lsr t.line_bits in
+  let cost = ref (translate t ~addr) in
+  for line = first to last do
+    cost := !cost + line_access t ~l1:t.l1d ~l1_ev:Obs.Attrib.L1d_miss ~line ~write
+  done;
+  !cost
 
 let access_insn t ~addr =
-  let line = addr lsr t.line_bits in
-  let tlb_cost =
-    if tlb_fast_hit t.tlb (addr lsr Tlb.page_bits) then 0
-    else if Tlb.touch t.tlb addr then 0
-    else begin
-      fire t Obs.Attrib.Tlb_miss ~addr;
-      t.config.tlb_refill_cycles
-    end
-  in
-  if l1_fast_hit t.l1i line false then tlb_cost
-  else tlb_cost + line_access t ~l1:t.l1i ~l1_ev:Obs.Attrib.L1i_miss ~line ~write:false
+  let tlb_cost = translate t ~addr in
+  tlb_cost + line_access t ~l1:t.l1i ~l1_ev:Obs.Attrib.L1i_miss ~line:(addr lsr t.line_bits) ~write:false
 
 (* Deposit the hierarchy's internal statistics into an observability
    counter file (lib/obs).  This is the lib/mem half of the counter

@@ -60,6 +60,10 @@ val write_bytes : t -> int64 -> bytes -> unit
     the fast-reset primitive behind the warm server pool
     (docs/PERFORMANCE.md). *)
 
+val page_bits : int
+(** log2 {!page_bytes}: 12.  Byte index [i] is at offset
+    [i land (page_bytes - 1)] of page [i lsr page_bits]. *)
+
 val page_bytes : int
 (** Page and dirty-tracking granule: 4096. *)
 

@@ -16,6 +16,7 @@ type t = {
   bits : Bytes.t;
   mem_size : int;
   line_bytes : int;
+  line_bits : int; (* log2 line_bytes: addr -> line index by shift *)
   mutable on_write : (set:bool -> addr:int -> unit) option;
       (* observability hook: every architectural tag write (capability
          store sets or clears; general-purpose store clears) is reported
@@ -28,15 +29,23 @@ type t = {
 let line_bytes = 32
 
 let create ?(line_bytes = line_bytes) ~mem_size () =
+  if not (Cache.is_pow2 line_bytes) then
+    invalid_arg
+      (Printf.sprintf
+         "Tags.create: line_bytes %d is not a power of two (required by shift indexing)"
+         line_bytes);
   {
     bits = Bytes.make (((mem_size / line_bytes) + 7) / 8) '\000';
     mem_size;
     line_bytes;
+    line_bits = Cache.log2 line_bytes;
     on_write = None;
   }
 
-(* Physical addresses fit a native int; tag lines are indexed by it. *)
-let line_index t addr = addr / t.line_bytes
+(* Physical addresses fit a native int; tag lines are indexed by it.
+   Every scalar store runs this twice ([clear_range]), so it is a shift,
+   not a divide. *)
+let line_index t addr = addr lsr t.line_bits
 let granularity t = t.line_bytes
 
 let get t addr =

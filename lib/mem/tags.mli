@@ -14,6 +14,7 @@ type t
 (** Default tag granularity in bytes (32 = one bit per 256 bits). *)
 val line_bytes : int
 
+(** @raise Invalid_argument when [line_bytes] is not a power of two. *)
 val create : ?line_bytes:int -> mem_size:int -> unit -> t
 
 (** Install (or with [None] remove) the observability hook: called with

@@ -107,21 +107,78 @@ let map t ~vaddr ~len prot =
   t.version <- t.version + 1;
   invalidate_prot_memo t
 
-let protection t vaddr =
+(* A [protection] memo miss on page [p], memo slot [i]: look the page
+   table up and fill the slot. *)
+let protection_fill t p i =
+  let pr = match Hashtbl.find_opt t.table p with Some pr -> pr | None -> prot_none in
+  Array.unsafe_set t.prot_vpn i p;
+  Array.unsafe_set t.prot_val i pr;
+  pr
+
+let[@inline] protection t vaddr =
   let p = vaddr lsr page_bits in
   let i = p land (prot_memo_slots - 1) in
   if Array.unsafe_get t.prot_vpn i = p then Array.unsafe_get t.prot_val i
-  else begin
-    let pr = match Hashtbl.find_opt t.table p with Some pr -> pr | None -> prot_none in
-    Array.unsafe_set t.prot_vpn i p;
-    Array.unsafe_set t.prot_val i pr;
-    pr
-  end
+  else protection_fill t p i
 
-(* Touch the TLB for a translation; returns [true] on a TLB hit.  On a miss
-   the least-recently-used entry is evicted (modelling the software refill
-   the timing model charges for). *)
-let touch t vaddr =
+(* The rest of [touch] once the tick is taken and the page [p] is not
+   the previous translation's: a residency-memo hit, a hashtable hit, or
+   a miss that evicts the least-recently-used entry (modelling the
+   software refill the timing model charges for). *)
+let touch_slow t p =
+  let mi = p land (slot_memo_slots - 1) in
+  let mslot = Array.unsafe_get t.slot_memo_slot mi in
+  if Array.unsafe_get t.slot_memo_vpn mi = p && Array.unsafe_get t.slot_vpn mslot = p
+  then begin
+    (* Memoised residency, verified still live: same updates as the
+       hashtable hit below. *)
+    t.hits <- t.hits + 1;
+    Array.unsafe_set t.slot_tick mslot t.tick;
+    t.last_vpn <- p;
+    t.last_slot <- mslot;
+    true
+  end
+  else
+    match Hashtbl.find t.slot_of p with
+    | slot ->
+        t.hits <- t.hits + 1;
+        t.slot_tick.(slot) <- t.tick;
+        t.last_vpn <- p;
+        t.last_slot <- slot;
+        t.slot_memo_vpn.(mi) <- p;
+        t.slot_memo_slot.(mi) <- slot;
+        true
+    | exception Not_found ->
+      t.misses <- t.misses + 1;
+      let slot =
+        if t.used >= t.entries then begin
+          (* Evict true LRU: the minimum tick (ticks are unique). *)
+          let best = ref 0 in
+          for i = 1 to t.entries - 1 do
+            if t.slot_tick.(i) < t.slot_tick.(!best) then best := i
+          done;
+          Hashtbl.remove t.slot_of t.slot_vpn.(!best);
+          !best
+        end
+        else begin
+          let s = t.used in
+          t.used <- t.used + 1;
+          s
+        end
+      in
+      t.slot_vpn.(slot) <- p;
+      t.slot_tick.(slot) <- t.tick;
+      Hashtbl.replace t.slot_of p slot;
+      t.last_vpn <- p;
+      t.last_slot <- slot;
+      t.slot_memo_vpn.(mi) <- p;
+      t.slot_memo_slot.(mi) <- slot;
+      false
+
+(* Touch the TLB for a translation; returns [true] on a TLB hit.  Inlined
+   into the memory hierarchy's access functions: the same-page branch is
+   the common case and costs a compare and two stores. *)
+let[@inline] touch t vaddr =
   t.tick <- t.tick + 1;
   let p = vaddr lsr page_bits in
   if p = t.last_vpn then begin
@@ -130,56 +187,7 @@ let touch t vaddr =
     Array.unsafe_set t.slot_tick t.last_slot t.tick;
     true
   end
-  else begin
-    let mi = p land (slot_memo_slots - 1) in
-    let mslot = Array.unsafe_get t.slot_memo_slot mi in
-    if Array.unsafe_get t.slot_memo_vpn mi = p && Array.unsafe_get t.slot_vpn mslot = p
-    then begin
-      (* Memoised residency, verified still live: same updates as the
-         hashtable hit below. *)
-      t.hits <- t.hits + 1;
-      Array.unsafe_set t.slot_tick mslot t.tick;
-      t.last_vpn <- p;
-      t.last_slot <- mslot;
-      true
-    end
-    else
-      match Hashtbl.find t.slot_of p with
-      | slot ->
-          t.hits <- t.hits + 1;
-          t.slot_tick.(slot) <- t.tick;
-          t.last_vpn <- p;
-          t.last_slot <- slot;
-          t.slot_memo_vpn.(mi) <- p;
-          t.slot_memo_slot.(mi) <- slot;
-          true
-      | exception Not_found ->
-        t.misses <- t.misses + 1;
-        let slot =
-          if t.used >= t.entries then begin
-            (* Evict true LRU: the minimum tick (ticks are unique). *)
-            let best = ref 0 in
-            for i = 1 to t.entries - 1 do
-              if t.slot_tick.(i) < t.slot_tick.(!best) then best := i
-            done;
-            Hashtbl.remove t.slot_of t.slot_vpn.(!best);
-            !best
-          end
-          else begin
-            let s = t.used in
-            t.used <- t.used + 1;
-            s
-          end
-        in
-        t.slot_vpn.(slot) <- p;
-        t.slot_tick.(slot) <- t.tick;
-        Hashtbl.replace t.slot_of p slot;
-        t.last_vpn <- p;
-        t.last_slot <- slot;
-        t.slot_memo_vpn.(mi) <- p;
-        t.slot_memo_slot.(mi) <- slot;
-        false
-  end
+  else touch_slow t p
 
 let flush t =
   Hashtbl.reset t.slot_of;

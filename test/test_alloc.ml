@@ -149,24 +149,115 @@ let test_checkpoint_words () =
   let words = heap_words (fun () -> ignore (Sys.opaque_identity (Machine.checkpoint m))) in
   gate_words "Machine.checkpoint (64 MiB)" words ~limit:(128 * 1024)
 
-(* A whole legacy treeadd run, syscalls and all, under both engines. *)
-let test_treeadd_words_per_insn () =
+(* Words per retired instruction of a whole legacy treeadd run, syscalls
+   and all, under [engine]. *)
+let treeadd_words_per_insn engine =
   let source = Olden.Minic_src.instantiate (List.assoc "treeadd" Olden.Minic_src.all) ~param:10 in
   let program = Asm.Assembler.assemble (Minic.Driver.compile ~mode:Minic.Layout.Legacy source) in
+  let m = Exp.Bench_run.machine_for Minic.Layout.Legacy in
+  Machine.set_engine m engine;
+  let k = Os.Kernel.attach m in
+  Os.Kernel.exec k program;
+  let code = ref (-1) in
+  let words = minor_words (fun () -> code := Machine.run m) in
+  Alcotest.(check int) "treeadd exits cleanly" 0 !code;
+  words /. float_of_int m.Machine.instret
+
+let test_treeadd_words_per_insn () =
   List.iter
     (fun engine ->
-      let m = Exp.Bench_run.machine_for Minic.Layout.Legacy in
-      Machine.set_engine m engine;
-      let k = Os.Kernel.attach m in
-      Os.Kernel.exec k program;
-      let code = ref (-1) in
-      let words = minor_words (fun () -> code := Machine.run m) in
-      Alcotest.(check int) "treeadd exits cleanly" 0 !code;
-      let per_insn = words /. float_of_int m.Machine.instret in
+      let per_insn = treeadd_words_per_insn engine in
       if per_insn > 1.0 then
         Alcotest.failf "%s engine: %.3f words per retired instruction (gate: <= 1.0)"
           (Machine.engine_to_string engine) per_insn)
     [ Machine.Plain; Machine.Superblock ]
+
+(* Superblock formation allocates only the blocks it pins: a cold head
+   is retried on every dispatch until the decode cache warms, and each
+   attempt used to allocate a 64-slot scratch buffer (0.10 words per
+   instruction more than the plain engine on treeadd). *)
+let test_formation_words () =
+  let plain = treeadd_words_per_insn Machine.Plain in
+  let sb = treeadd_words_per_insn Machine.Superblock in
+  if sb > plain +. 0.01 then
+    Alcotest.failf "superblock %.3f vs plain %.3f words per instruction (gate: at most 0.01 more)"
+      sb plain
+
+(* Capability loads and stores through the 256-bit image.  A CLC that
+   reloads the value its destination already holds allocates nothing
+   ([Cap.Capability.of_words_reusing]); one that loads a different value
+   builds one record with three boxed [int64] fields (9 + 3 x 3 = 18
+   words); a CSC allocates nothing.  While the image codec was a call,
+   its flags word was boxed too: 21 words per CLC, 3 per CSC. *)
+let cap_loop body =
+  {|
+main:
+  la $t0, buf
+  cincbase $c1, $c0, $t0
+  li $t1, 8
+  cincbase $c3, $c1, $t1
+  csc $c1, $zero, 0($c1)
+  csc $c3, $zero, 32($c1)
+loop:
+|}
+  ^ body
+  ^ {|
+  b loop
+.data
+.align 5
+buf: .space 64
+|}
+
+(* Words allocated over [iters] iterations of a warm three-instruction
+   loop (two body instructions and the branch); the window may start
+   inside an iteration. *)
+let cap_loop_words body ~iters =
+  let m = Machine.create () in
+  let k = Os.Kernel.attach m in
+  Os.Kernel.exec k (Asm.Assembler.assemble (cap_loop body));
+  for _ = 1 to 1000 do
+    Machine.step m
+  done;
+  minor_words (fun () ->
+      for _ = 1 to 3 * iters do
+        Machine.step m
+      done)
+
+let test_cap_load_store_words () =
+  let iters = n / 3 in
+  let same = cap_loop_words "  csc $c1, $zero, 0($c1)\n  clc $c2, $zero, 0($c1)\n" ~iters in
+  Alcotest.(check (float 0.)) "CSC + CLC of an unchanged value allocate nothing" 0. same;
+  let alternating = cap_loop_words "  clc $c2, $zero, 0($c1)\n  clc $c2, $zero, 32($c1)\n" ~iters in
+  if alternating > 36. *. float_of_int (iters + 1) then
+    Alcotest.failf "%.0f words over %d iterations of two value-changing CLCs (gate: <= 18 per CLC)"
+      alternating iters
+
+(* The build must inline across modules.  Dune's dev profile compiles
+   every library module with -opaque, so a cross-module call returning
+   an [int64] boxes it; the workspace's release profile drops -opaque and
+   [Beri.Regs.hi] inlines to a raw load the accumulator keeps unboxed.
+   This is the cheapest witness of the build the benchmark figures
+   assume: it reads 3 words per call (30 000 here) under -opaque. *)
+let test_cross_module_inlining () =
+  let r = Beri.Regs.create () in
+  Beri.Regs.set_hi r 3L;
+  let sum_ok = ref false in
+  let words =
+    minor_words (fun () ->
+        (* Local to the closure, so the accumulator itself is unboxed. *)
+        let acc = ref 0L in
+        for _ = 1 to n do
+          acc := Int64.add !acc (Beri.Regs.hi r)
+        done;
+        sum_ok := Int64.equal !acc (Int64.of_int (3 * n)))
+  in
+  Alcotest.(check bool) "sum of HI" true !sum_ok;
+  if words <> 0. then
+    Alcotest.failf
+      "summing Beri.Regs.hi allocated %.0f words over %d calls (gate: 0): the build lost \
+       cross-module inlining (built with -opaque, e.g. `dune build --profile dev`; the \
+       dune-workspace release profile is the one that inlines)"
+      words n
 
 let suites =
   [
@@ -179,5 +270,8 @@ let suites =
         Alcotest.test_case "legacy treeadd words/insn" `Quick test_treeadd_words_per_insn;
         Alcotest.test_case "Machine.create words" `Quick test_create_words;
         Alcotest.test_case "Machine.checkpoint words" `Quick test_checkpoint_words;
+        Alcotest.test_case "cross-module inlining" `Quick test_cross_module_inlining;
+        Alcotest.test_case "superblock formation words" `Quick test_formation_words;
+        Alcotest.test_case "CLC/CSC words" `Quick test_cap_load_store_words;
       ] );
   ]

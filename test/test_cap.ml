@@ -280,6 +280,30 @@ let prop_bytes_roundtrip =
   QCheck.Test.make ~count:500 ~name:"256-bit image roundtrip" arb_cap (fun c ->
       Capability.equal c (Capability.of_bytes ~tag:(Capability.tag c) (Capability.to_bytes c)))
 
+(* A CLC hands the destination's current value to [of_words_reusing]:
+   the result must be what [of_words] builds, and physically the old
+   value exactly when that is equal to it.  [prev] is an equal copy or
+   differs in the tag, one bit of the flags word (sealed, perms, otype
+   or the high byte) or one whole word. *)
+let prop_of_words_reusing =
+  QCheck.Test.make ~count:1000 ~name:"of_words_reusing agrees with of_words"
+    QCheck.(pair (quad bool int64 int64 (pair int64 int64)) (pair (int_bound 5) int64))
+    (fun ((tag, flags, reserved, (base, length)), (which, x)) ->
+      let fresh = Capability.of_words ~tag ~flags ~reserved ~base ~length in
+      let prev =
+        match which with
+        | 0 -> Capability.of_words ~tag ~flags ~reserved ~base ~length
+        | 1 -> Capability.of_words ~tag:(not tag) ~flags ~reserved ~base ~length
+        | 2 ->
+            let flags = Int64.logxor flags (Int64.shift_left 1L (Int64.to_int x land 63)) in
+            Capability.of_words ~tag ~flags ~reserved ~base ~length
+        | 3 -> Capability.of_words ~tag ~flags ~reserved:(Int64.logxor reserved x) ~base ~length
+        | 4 -> Capability.of_words ~tag ~flags ~reserved ~base:(Int64.logxor base x) ~length
+        | _ -> Capability.of_words ~tag ~flags ~reserved ~base ~length:(Int64.logxor length x)
+      in
+      let got = Capability.of_words_reusing ~prev ~tag ~flags ~reserved ~base ~length in
+      Capability.equal got fresh && got == prev = Capability.equal prev fresh)
+
 let prop_cap128_roundtrip =
   QCheck.Test.make ~count:500 ~name:"128-bit compress/decompress exact" arb_cap
     (fun c ->
@@ -384,5 +408,6 @@ let suites =
         prop_cap128_roundtrip;
         prop_in_range_sound;
         prop_access_int_agrees;
+        prop_of_words_reusing;
       ];
   ]

@@ -385,6 +385,34 @@ let test_cache_geometry_validation () =
   let c = Mem.Cache.create ~name:"ok" ~size_bytes:4096 ~line_bytes:32 ~assoc:2 in
   Alcotest.(check int) "size round-trips" 4096 (Mem.Cache.size_bytes c)
 
+(* Tags.line_index shifts instead of dividing, so the table must agree
+   with [addr / line_bytes] at both capability widths' granularities and
+   refuse a granularity a shift cannot express. *)
+let test_tags_line_index () =
+  let mem_size = 0x100000 in
+  List.iter
+    (fun line_bytes ->
+      let t = Mem.Tags.create ~line_bytes ~mem_size () in
+      let addrs =
+        List.init 4096 Fun.id
+        @ List.init 1000 (fun k -> (k * 7919 * 131) mod mem_size)
+        @ [ mem_size - 1; mem_size - line_bytes; mem_size / 2 - 1 ]
+      in
+      List.iter
+        (fun addr ->
+          let want = addr / line_bytes and got = Mem.Tags.line_index t addr in
+          if got <> want then
+            Alcotest.failf "line_bytes %d: line_index %#x = %d, addr / line_bytes = %d" line_bytes
+              addr got want)
+        addrs)
+    [ 16; 32 ];
+  List.iter
+    (fun line_bytes ->
+      match Mem.Tags.create ~line_bytes ~mem_size () with
+      | _ -> Alcotest.failf "Tags.create accepted line_bytes %d" line_bytes
+      | exception Invalid_argument _ -> ())
+    [ 24; 48; 0 ]
+
 let test_hierarchy_dram_accounting () =
   let h = Mem.Hierarchy.create () in
   Mem.Tlb.map h.Mem.Hierarchy.tlb ~vaddr:0L ~len:0x100000 Mem.Tlb.prot_rwx;
@@ -434,6 +462,7 @@ let suites =
         Alcotest.test_case "stale snapshot refused" `Quick test_phys_snapshot_stale;
         Alcotest.test_case "tags restore by page" `Quick test_tags_restore_page;
       ] );
+    ("mem-tags", [ Alcotest.test_case "line index is a shift" `Quick test_tags_line_index ]);
     ( "mem-hierarchy",
       [
         Alcotest.test_case "cache geometry validation" `Quick test_cache_geometry_validation;
